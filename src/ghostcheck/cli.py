@@ -31,7 +31,7 @@ from .localmodel import (
     NonConstantLevel,
     verify_residue_theorem,
 )
-from .obstruction import Verdict, corollary_check, theorem_check
+from .obstruction import ObstructionError, Verdict, corollary_check, theorem_check
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     try:
         _thread_count()
         return args.func(args)
-    except (InputError, FactoryError) as exc:
+    except (InputError, FactoryError, ObstructionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
     except (AssertionError, RuntimeError) as exc:

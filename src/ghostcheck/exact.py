@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and dense rational matrices.
+"""Exact rational arithmetic, dense rational matrices and their one eliminator.
 
 All values are immutable and all operations are pure. No floating point
 appears anywhere in this package: the verdicts downstream are rank
@@ -6,11 +6,18 @@ conditions, and a single rounding error would flip them.
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
 denominator, structural equality), serialized as ``"a/b"`` or ``"a"``.
+
+One fraction-free integer echelon, ``IntEchelon``, does every elimination:
+``QMatrix.rank`` and ``QMatrix.kernel_basis`` scale each row to integers and
+insert it, and the subset scan in ``ghostcheck.obstruction`` grows one
+echelon point by point. No ``Fraction`` is divided during elimination; only
+the kernel's back-substitution returns to the rationals.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -23,17 +30,21 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, a string like ``"a/b"`` or ``"a"``, or a Fraction.
 
-    Floats are rejected: exactness is a hard requirement.
+    Floats and bools are rejected with ``TypeError``, a zero denominator with
+    ``ValueError``: exactness is a hard requirement.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         s = value.strip()
         if not _RAT_RE.match(s):
             raise ValueError(f"not a rational literal: {value!r}")
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -62,12 +73,55 @@ def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+class IntEchelon:
+    """Incremental fraction-free row echelon over the integers.
+
+    Rows are primitive integer vectors sorted by pivot position; each row's
+    first nonzero entry is its pivot, and it is positive. Reducing an incoming
+    vector in ascending pivot order never reintroduces cleared coordinates.
+    ``inserted`` leaves the echelon it is called on unchanged, so the subset
+    scan can branch from a shared prefix.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows=(), pivots=()):
+        self.rows = list(rows)
+        self.pivots = list(pivots)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def inserted(self, vec: tuple[int, ...]) -> "IntEchelon":
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                a, b = v[p], row[p]
+                v = [x * b - y * a for x, y in zip(v, row)]
+        if not any(v):
+            return self
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g > 1:
+            v = [x // g for x in v]
+        pivot = next(i for i, x in enumerate(v) if x)
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        new = IntEchelon(self.rows, self.pivots)
+        new.rows = self.rows[:pos] + [tuple(v)] + self.rows[pos:]
+        new.pivots = self.pivots[:pos] + [pivot] + self.pivots[pos:]
+        return new
+
+
 class QMatrix:
     """Immutable dense matrix over Q with exact rank and kernel.
 
-    Elimination uses a fixed pivot rule (first remaining row with a nonzero
-    entry in the leftmost unresolved column) so that kernel bases, and every
-    report built from them, are reproducible.
+    Both come from one ``IntEchelon`` of the rows. The kernel basis is read
+    off the reduced row echelon form, which is unique, so kernel bases, and
+    every report built from them, are reproducible.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -95,24 +149,10 @@ class QMatrix:
             raise ValueError("need at least one column")
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
 
-    @classmethod
-    def identity(cls, size: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(size)] for i in range(size)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     # -- basic accessors ------------------------------------------------
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,98 +177,50 @@ class QMatrix:
             raise ValueError(f"vector length {len(v)} does not match {self.cols} columns")
         return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries)
 
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return QMatrix(
-            [
-                [
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def scale_columns(self, scales: Sequence[RatLike]) -> "QMatrix":
-        s = rat_vector(scales)
-        if len(s) != self.cols:
-            raise ValueError("one scale per column required")
-        return QMatrix([[row[j] * s[j] for j in range(self.cols)] for row in self.entries])
-
     # -- elimination ----------------------------------------------------
 
-    def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
+    def _echelon(self) -> IntEchelon:
+        """Echelon of the row space; scaling a row keeps the rank and the kernel.
+
+        Rows are inserted in order until the rank reaches the column count,
+        after which no later row can change the row space.
+        """
+        echelon = IntEchelon()
+        for row in self.entries:
+            echelon = echelon.inserted(integerize(row))
+            if echelon.rank == self.cols:
                 break
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return QMatrix(m), tuple(pivots)
+        return echelon
 
     def rank(self) -> int:
         """Exact rank over Q."""
-        if all(v.denominator == 1 for row in self.entries for v in row):
-            return _int_rank([[v.numerator for v in row] for row in self.entries])
-        return len(self.rref()[1])
+        return self._echelon().rank
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Deterministic basis of the right null space.
 
         One basis vector per free column, in ascending column order; the
-        free coordinate is set to 1 and pivot coordinates are read off the
-        reduced echelon form, so ``self.matvec(v)`` is exactly zero.
+        free coordinate is set to 1 and pivot coordinates are the negated
+        reduced-row-echelon entries of that column, so ``self.matvec(v)`` is
+        exactly zero. Those entries solve the echelon's triangular system on
+        the pivot columns left of the free column by back-substitution.
         """
-        reduced, pivots = self.rref()
+        echelon = self._echelon()
+        rows, pivots = echelon.rows, echelon.pivots
         pivot_set = set(pivots)
         basis = []
         for f in range(self.cols):
             if f in pivot_set:
                 continue
+            k = bisect_left(pivots, f)
+            reduced = [Fraction(0)] * k
+            for i in reversed(range(k)):
+                row = rows[i]
+                acc = Fraction(row[f]) - sum(row[pivots[j]] * reduced[j] for j in range(i + 1, k))
+                reduced[i] = acc / row[pivots[i]]
             v = [Fraction(0)] * self.cols
             v[f] = Fraction(1)
-            for i, c in enumerate(pivots):
-                v[c] = -reduced.entries[i][f]
+            for i in range(k):
+                v[pivots[i]] = -reduced[i]
             basis.append(tuple(v))
         return basis
-
-
-def _int_rank(m: list[list[int]]) -> int:
-    """Fraction-free rank of an integer matrix (same pivot rule as rref)."""
-    rows = len(m)
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                f = m[i][c]
-                row = [a * p - b * f for a, b in zip(m[i], m[r])]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    row = [x // g for x in row]
-                m[i] = row
-        r += 1
-    return r

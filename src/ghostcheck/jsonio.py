@@ -135,7 +135,7 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
         return ObstructionProblem(genus=genus, ambient_dim=ambient, points=columns)
     except InputError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 

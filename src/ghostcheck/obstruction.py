@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
-from .exact import QMatrix, RatLike, integerize, rat_vector
+from .exact import IntEchelon, QMatrix, RatLike, integerize, rat_vector
 
 MAX_SUBSET_POINTS = 24
 
@@ -124,12 +123,11 @@ def obstruction_matrix(problem: ObstructionProblem) -> QMatrix:
 
 def theorem_check(problem: ObstructionProblem) -> TheoremVerdict:
     """Injectivity verdict: obstructed iff the matrix has full column rank."""
-    matrix = obstruction_matrix(problem)
-    rank = matrix.rank()
-    if rank == problem.n_points:
+    basis = obstruction_matrix(problem).kernel_basis()
+    rank = problem.n_points - len(basis)
+    if not basis:
         return TheoremVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, rank, None)
-    witness = matrix.kernel_basis()[0]
-    return TheoremVerdict(Verdict.INCONCLUSIVE, rank, witness)
+    return TheoremVerdict(Verdict.INCONCLUSIVE, rank, basis[0])
 
 
 def subset_ranks(problem: ObstructionProblem, subset: Sequence[int]) -> tuple[int, int]:
@@ -145,47 +143,6 @@ def rank_inequality_holds(problem: ObstructionProblem, subset: Sequence[int]) ->
     return rank_v + rank_e <= len(subset)
 
 
-class _IntEchelon:
-    """Incremental integer row echelon (fraction-free), used by the subset scan.
-
-    Rows are primitive integer vectors sorted by pivot position; each row's
-    first nonzero entry is its pivot, so reducing an incoming vector in
-    ascending pivot order never reintroduces cleared coordinates.
-    """
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self, rows=(), pivots=()):
-        self.rows = list(rows)
-        self.pivots = list(pivots)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def inserted(self, vec: tuple[int, ...]) -> "_IntEchelon":
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                a, b = v[p], row[p]
-                v = [x * b - y * a for x, y in zip(v, row)]
-        if not any(v):
-            return self
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
-        pivot = next(i for i, x in enumerate(v) if x)
-        if v[pivot] < 0:
-            v = [-x for x in v]
-        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        new = _IntEchelon(self.rows, self.pivots)
-        new.rows = self.rows[:pos] + [tuple(v)] + self.rows[pos:]
-        new.pivots = self.pivots[:pos] + [pivot] + self.pivots[pos:]
-        return new
-
-
 def _first_witness_of_size(
     size: int, n: int, vcols: Sequence[tuple[int, ...]], ecols: Sequence[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
@@ -197,7 +154,7 @@ def _first_witness_of_size(
     subset is therefore exactly the lex-minimal witness of this size.
     """
 
-    def recurse(start: int, chosen: list[int], ev: _IntEchelon, ee: _IntEchelon):
+    def recurse(start: int, chosen: list[int], ev: IntEchelon, ee: IntEchelon):
         if len(chosen) == size:
             return tuple(chosen)
         slots = size - len(chosen)
@@ -213,7 +170,7 @@ def _first_witness_of_size(
             chosen.pop()
         return None
 
-    return recurse(0, [], _IntEchelon(), _IntEchelon())
+    return recurse(0, [], IntEchelon(), IntEchelon())
 
 
 def corollary_check(problem: ObstructionProblem) -> CorollaryVerdict:

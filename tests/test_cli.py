@@ -5,6 +5,8 @@ import json
 import pytest
 
 import ghostcheck.selftest as selftest_module
+from ghostcheck.factory import random_instance
+from ghostcheck.jsonio import dump_json, problem_to_json
 from ghostcheck.cli import (
     EXIT_BAD_INPUT,
     EXIT_INTERNAL,
@@ -96,6 +98,41 @@ class TestCheck:
         path.write_text(json.dumps({"local_model": {"m": 1, "G": [[]]}}))
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == EXIT_BAD_INPUT
+
+    def test_more_points_than_the_subset_cap(self, capsys, tmp_path):
+        path = tmp_path / "many.json"
+        path.write_text(dump_json({"version": 1, **problem_to_json(random_instance(3, 2, 2, 25))}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert_bad_input(code, out, err)
+
+
+def assert_bad_input(code, out, err):
+    """Exit 2, nothing on stdout, exactly one ``error:`` line on stderr."""
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+NODAL = {"type": "nodal_rational", "genus": 1, "nodes": [["0", "1"]]}
+
+
+class TestStrictRationals:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"genus": 1, "ambient_dim": 1, "points": [{"delta": [0.5], "deriv": ["1"]}]},
+            {"curve_model": NODAL, "attachments": 5, "derivs": [["1"]]},
+            {"genus": 1, "ambient_dim": 1, "points": [{"delta": ["1/0"], "deriv": ["1"]}]},
+            {"genus": 1, "ambient_dim": 1, "points": [{"delta": [True], "deriv": ["1"]}]},
+        ],
+        ids=["float-in-vector", "attachments-not-a-list", "zero-denominator", "bool-as-rational"],
+    )
+    def test_malformed_value_is_bad_input(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, **data}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert_bad_input(code, out, err)
 
 
 class TestGenerate:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostcheck.exact import QMatrix, integerize, rat, rat_to_str
+from matrix_oracle import identity, matmul, oracle_kernel_basis, oracle_rank, transpose, zeros
 
 
 def _det(rows):
@@ -62,6 +63,17 @@ class TestRat:
         with pytest.raises(TypeError):
             rat(0.5)
 
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError):
+            rat(True)
+        with pytest.raises(TypeError):
+            rat(False)
+
+    @pytest.mark.parametrize("zero_den", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_is_value_error(self, zero_den):
+        with pytest.raises(ValueError):
+            rat(zero_den)
+
     def test_round_trip(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -82,10 +94,10 @@ class TestQMatrix:
             QMatrix([[1, 2], [3]])
 
     def test_rank_identity(self):
-        assert QMatrix.identity(2).rank() == 2
+        assert identity(2).rank() == 2
 
     def test_rank_zero_matrix(self):
-        assert QMatrix.zeros(3, 4).rank() == 0
+        assert zeros(3, 4).rank() == 0
 
     def test_rank_dependent_rows(self):
         assert QMatrix([[1, 2], [2, 4]]).rank() == 1
@@ -100,7 +112,7 @@ class TestQMatrix:
         assert v[0] / v[1] == -1
 
     def test_kernel_identity_is_empty(self):
-        assert QMatrix.identity(2).kernel_basis() == []
+        assert identity(2).kernel_basis() == []
 
     def test_kernel_two_rows(self):
         (v,) = QMatrix([[1, 0, 1], [0, 1, 1]]).kernel_basis()
@@ -110,7 +122,7 @@ class TestQMatrix:
     def test_matvec_and_matmul(self):
         m = QMatrix([[1, 2], [3, 4]])
         assert m.matvec([1, 0]) == (Fraction(1), Fraction(3))
-        assert m.matmul(QMatrix.identity(2)) == m
+        assert matmul(m, identity(2)) == m
 
     def test_from_columns(self):
         m = QMatrix.from_columns([[1, 2], [3, 4]])
@@ -118,7 +130,7 @@ class TestQMatrix:
         assert m.column(1) == (Fraction(3), Fraction(4))
 
     def test_immutability(self):
-        m = QMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(AttributeError):
             m.rows = 3
 
@@ -132,7 +144,7 @@ class TestRankKernelProperties:
             cols = rng.randint(1, 6)
             m = QMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
             r = m.rank()
-            assert r == m.transpose().rank()
+            assert r == transpose(m).rank()
             basis = m.kernel_basis()
             assert len(basis) == cols - r
             for v in basis:
@@ -156,7 +168,7 @@ class TestRankKernelProperties:
     @settings(max_examples=100, deadline=None)
     def test_rank_transpose_invariant(self, entries):
         m = QMatrix(entries)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
     def test_rank_bounds(self):
         rng = random.Random(99)
@@ -165,3 +177,46 @@ class TestRankKernelProperties:
             cols = rng.randint(1, 5)
             m = QMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
             assert 0 <= m.rank() <= min(rows, cols)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Integer or fractional entries, tall and wide shapes, with zero rows,
+    zero columns and repeated (possibly rescaled) rows mixed in."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.integers(-9, 9))
+    else:
+        entry = st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    index_row, index_col = st.integers(0, rows - 1), st.integers(0, cols - 1)
+    for i in draw(st.lists(index_row, max_size=2)):
+        grid[i] = [0] * cols
+    for j in draw(st.lists(index_col, max_size=2)):
+        for row in grid:
+            row[j] = 0
+    for src, dst in draw(st.lists(st.tuples(index_row, index_row), max_size=3)):
+        scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+        grid[dst] = [scale * x for x in grid[src]]
+    return QMatrix(grid)
+
+
+class TestFractionOracle:
+    """The integer echelon against the Fraction RREF, tuple for tuple."""
+
+    @given(oracle_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_rank_and_kernel_equal_oracle(self, m):
+        assert m.rank() == oracle_rank(m)
+        basis = m.kernel_basis()
+        assert basis == oracle_kernel_basis(m)
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+    def test_tall_and_wide(self):
+        rng = random.Random(5)
+        for rows, cols in ((14, 3), (3, 14), (12, 12)):
+            for _ in range(10):
+                m = QMatrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+                assert m.rank() == oracle_rank(m)
+                assert m.kernel_basis() == oracle_kernel_basis(m)

@@ -90,6 +90,26 @@ class TestTheoremCheck:
             fired = verdict.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE
             assert fired == (verdict.rank == p.n_points)
 
+    @pytest.mark.parametrize("n_points", [3, 9])
+    def test_eliminates_once(self, monkeypatch, n_points):
+        # g*N = 4 rows: three points give full rank, nine points a kernel
+        calls = []
+        kernel_basis = QMatrix.kernel_basis
+
+        def counted_kernel(self):
+            calls.append("kernel_basis")
+            return kernel_basis(self)
+
+        def forbidden_rank(self):
+            calls.append("rank")
+            return 0
+
+        monkeypatch.setattr(QMatrix, "kernel_basis", counted_kernel)
+        monkeypatch.setattr(QMatrix, "rank", forbidden_rank)
+        result = theorem_check(random_instance(17, 2, 2, n_points))
+        assert calls == ["kernel_basis"]
+        assert (result.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE) == (n_points == 3)
+
 
 class TestCorollaryCheck:
     def test_single_point_fires(self):
