@@ -18,11 +18,8 @@ from .factory import (
 )
 from .laurent import LaurentPoly, normal_form_xyt, restrict_to_axis, substitute
 from .localmodel import (
-    PhiConvention,
     chart,
     expand_ghost,
-    node_coordinates,
-    sigma_values,
     verify_chart_relations,
     verify_residue_theorem,
 )
@@ -46,7 +43,6 @@ __all__ = [
     "LaurentPoly",
     "NodalRationalModel",
     "ObstructionProblem",
-    "PhiConvention",
     "QMatrix",
     "RawEvaluationModel",
     "StratumSpec",
@@ -59,14 +55,12 @@ __all__ = [
     "dim_stratum",
     "expand_ghost",
     "kernel_to_witness_d",
-    "node_coordinates",
     "normal_form_xyt",
     "obstruction_matrix",
     "random_instance",
     "rat",
     "rat_to_str",
     "restrict_to_axis",
-    "sigma_values",
     "substitute",
     "theorem_check",
     "verify_chart_relations",

@@ -14,12 +14,13 @@ import os
 import sys
 
 from . import __version__
-from .factory import FactoryError, StratumSpec, build_line_star_instance, dim_moduli, dim_stratum
+from .factory import FactoryError, build_line_star_instance, dim_moduli, dim_stratum
 from .jsonio import (
     InputError,
     dump_json,
     expansion_to_json,
     load_problem_file,
+    load_stratum_spec,
     problem_to_json,
     residue_report_to_json,
     verdict_pair_to_json,
@@ -140,16 +141,7 @@ def cmd_dims(args) -> int:
     report = {"N": args.N, "g": args.g, "d": args.d, "dim_moduli": moduli}
     lines = [f"dim of the smooth-domain space (N={args.N}, g={args.g}, d={args.d}) = {moduli}"]
     if args.stratum:
-        import json as _json
-
-        try:
-            with open(args.stratum, "r", encoding="utf-8") as handle:
-                raw = _json.load(handle)
-            spec = StratumSpec(
-                int(raw["N"]), int(raw["h"]), [tuple(part) for part in raw["parts"]]
-            )
-        except (OSError, _json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise InputError(f"cannot read stratum spec {args.stratum}: {exc}") from exc
+        spec = load_stratum_spec(args.stratum)
         if spec.ambient_dim != args.N:
             raise InputError("stratum spec N differs from --N")
         stratum = dim_stratum(spec)

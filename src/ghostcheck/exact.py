@@ -48,6 +48,13 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
+def integer(value) -> int:
+    """Accept a Python int only; bools, floats and strings raise ``TypeError``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
+
+
 def rat_to_str(value: Fraction) -> str:
     """Serialize a rational as ``"a/b"`` in lowest terms, ``"a"`` when b = 1."""
     return str(value)

@@ -1,4 +1,5 @@
-"""JSON interchange: problem files, curve models, local-model sections, reports.
+"""JSON interchange: problem files, curve models, local-model sections,
+stratum specs, reports.
 
 Rationals travel as strings ("a/b" in lowest terms) so nothing is lost;
 all emitted JSON is byte-deterministic for identical inputs (sorted keys,
@@ -17,7 +18,8 @@ from .curves import (
     NodalRationalModel,
     RawEvaluationModel,
 )
-from .exact import QMatrix, rat, rat_to_str, rat_vector
+from .exact import QMatrix, integer, rat, rat_to_str, rat_vector
+from .factory import StratumSpec
 from .laurent import LaurentPoly, poly_from_json, poly_to_json
 from .localmodel import XYT, GhostExpansion, ResidueReport
 from .obstruction import (
@@ -50,7 +52,7 @@ def _get(mapping: Mapping, key: str, where: str):
 
 def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveModel:
     kind = _get(data, "type", where)
-    genus = int(_get(data, "genus", where))
+    genus = integer(_get(data, "genus", where))
     try:
         if kind == "hyperelliptic":
             return HyperellipticModel(genus, [rat(c) for c in _get(data, "f", where)])
@@ -93,7 +95,7 @@ def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str):
             return (rat(_get(data, "x", where)), rat(_get(data, "y", where)))
         if isinstance(model, NodalRationalModel):
             return rat(_get(data, "p", where))
-        return int(_get(data, "index", where))
+        return integer(_get(data, "index", where))
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -125,8 +127,8 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
             return ObstructionProblem(
                 genus=model.genus, ambient_dim=ambient, points=columns
             )
-        genus = int(_get(data, "genus", where))
-        ambient = int(_get(data, "ambient_dim", where))
+        genus = integer(_get(data, "genus", where))
+        ambient = integer(_get(data, "ambient_dim", where))
         columns = []
         for i, entry in enumerate(_get(data, "points", where)):
             delta = rat_vector(_get(entry, "delta", f"{where}.points[{i}]"))
@@ -161,7 +163,7 @@ class LocalModelInput:
 
 def local_model_from_json(data: Mapping, where: str = "local_model") -> LocalModelInput:
     try:
-        m = int(_get(data, "m", where))
+        m = integer(_get(data, "m", where))
         raw_components = _get(data, "G", where)
         _require(isinstance(raw_components, list) and raw_components, f"{where}: G must be a nonempty list")
         components = tuple(
@@ -207,15 +209,40 @@ def problem_file_from_json(data: Any) -> ProblemFile:
     return ProblemFile(components=components, local_model=local_model)
 
 
-def load_problem_file(path: str) -> ProblemFile:
+def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return problem_file_from_json(data)
+
+
+def load_problem_file(path: str) -> ProblemFile:
+    return problem_file_from_json(_read_json(path))
+
+
+def stratum_spec_from_json(data: Any, where: str = "stratum spec") -> StratumSpec:
+    """Read {"N": int, "h": int, "parts": [[g_i, d_i], ...]}."""
+    _require(isinstance(data, Mapping), f"{where}: must be a JSON object")
+    parts = _get(data, "parts", where)
+    _require(
+        isinstance(parts, list) and all(isinstance(p, list) and len(p) == 2 for p in parts),
+        f"{where}: parts must be a list of [g_i, d_i] pairs",
+    )
+    try:
+        return StratumSpec(
+            integer(_get(data, "N", where)),
+            integer(_get(data, "h", where)),
+            [(integer(g), integer(d)) for g, d in parts],
+        )
+    except TypeError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def load_stratum_spec(path: str) -> StratumSpec:
+    return stratum_spec_from_json(_read_json(path), f"stratum spec {path}")
 
 
 # -- reports ------------------------------------------------------------------

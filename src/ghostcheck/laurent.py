@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .exact import RatLike, rat, rat_to_str
+from .exact import RatLike, integer, rat, rat_to_str
 
 
 class LaurentVariableMismatch(ValueError):
@@ -304,5 +304,5 @@ def poly_to_json(poly: LaurentPoly) -> list[dict]:
 def poly_from_json(variables: Sequence[str], data: Iterable[Mapping]) -> LaurentPoly:
     terms = []
     for item in data:
-        terms.append((tuple(int(k) for k in item["exps"]), rat(item["coeff"])))
+        terms.append((tuple(integer(k) for k in item["exps"]), rat(item["coeff"])))
     return LaurentPoly(variables, terms)

@@ -21,10 +21,13 @@ Given a function G(x, y, t) vanishing on the ghost side of the fiber,
     G = a_0 + a_1 t + ... + a_{m-1} t^(m-1) + t^m G_m,
 
 restricting each G_l to the sub-chain E_l ... E_m and recording pole orders
-and residues at the nodes. For valid input the only pole at level l is a
-simple one at p_l, with residue equal to the x-linear coefficient of
-G(x, 0, 0), the derivative of G along the effective branch at the first
-node. Constancy of G_l on the deeper sub-chain is a global property of the
+and residues at the nodes. Each coordinate of G is pulled back to each chart
+once: since t = zw in every chart, G_l in chart j-1 is
+(P_j - a_1 (zw) - ... - a_{l-1} (zw)^(l-1)) / (zw)^l with P_j the pullback
+of G, so the restriction of G_l to E_j is read off the terms of P_j of
+z-degree l. For valid input the only pole at level l is a simple one at
+p_l, with residue equal to the x-linear coefficient of G(x, 0, 0), the
+derivative of G along the effective branch at the first node. Constancy of G_l on the deeper sub-chain is a global property of the
 compact ghost curve; the affine model checks it and raises NonConstantLevel
 when the input does not extend.
 """
@@ -33,10 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .exact import rat_vector
-from .laurent import LaurentPoly, restrict_to_axis, substitute
+from .laurent import LaurentPoly, substitute
 
 XYT = ("x", "y", "t")
 ZW = ("z", "w")
@@ -109,7 +111,7 @@ def chart(m: int, j: int) -> Chart:
         y=LaurentPoly.monomial(ZW, (m - 1 - j, m - j)),
         t=LaurentPoly.monomial(ZW, (1, 1)),
     )
-    if ch.x * ch.y != ch.t**m:
+    if ch.x * ch.y != LaurentPoly.monomial(ZW, (m, m)):  # t^m = (zw)^m
         raise AssertionError("chart parametrization violates x*y = t^m; this is a bug")
     return ch
 
@@ -179,72 +181,6 @@ def verify_chart_relations(m: int) -> ChartReport:
 
 
 @dataclass(frozen=True)
-class NodeCoordinates:
-    """Local coordinates (x_l, y_l) at the node p_l = E_{l-1} cap E_l.
-
-    In chart l-1 these are just (z, w); expressed downstairs they are the
-    rational monomials x_l = x / t^(l-1) and y_l = t^l / x, and their
-    product is t.
-    """
-
-    m: int
-    level: int
-    chart_index: int
-    x_local: LaurentPoly
-    y_local: LaurentPoly
-    x_in_xyt: LaurentPoly
-    y_in_xyt: LaurentPoly
-
-
-def node_coordinates(m: int, level: int) -> NodeCoordinates:
-    if m < 1:
-        raise LocalModelError("m must be >= 1")
-    if not 1 <= level <= m:
-        raise LocalModelError(f"node index {level} out of range for m = {m}")
-    ch = chart(m, level - 1)
-    x_in_xyt = LaurentPoly.monomial(XYT, (1, 0, 1 - level))
-    y_in_xyt = LaurentPoly.monomial(XYT, (-1, 0, level))
-    x_local = ch.pullback(x_in_xyt)
-    y_local = ch.pullback(y_in_xyt)
-    z = LaurentPoly.variable(ZW, "z")
-    w = LaurentPoly.variable(ZW, "w")
-    if x_local != z or y_local != w or x_local * y_local != ch.t:
-        raise AssertionError("node coordinate identities failed; this is a bug")
-    return NodeCoordinates(
-        m=m,
-        level=level,
-        chart_index=level - 1,
-        x_local=x_local,
-        y_local=y_local,
-        x_in_xyt=x_in_xyt,
-        y_in_xyt=y_in_xyt,
-    )
-
-
-@dataclass(frozen=True)
-class PhiConvention:
-    """Smoothing-parameter convention: the m-th tensor power of d/dt maps to
-    (d/dx) tensor (d/dy) at the node, factoring through the chain nodes."""
-
-    m: int
-
-    def verify_factorization(self) -> bool:
-        """t^m is the product of the node identities x_l * y_l = t."""
-        product = LaurentPoly.constant(XYT, 1)
-        for level in range(1, self.m + 1):
-            nc = node_coordinates(self.m, level)
-            product = product * nc.x_in_xyt * nc.y_in_xyt
-        if product != LaurentPoly.monomial(XYT, (0, 0, self.m)):
-            return False
-        for level in range(1, self.m + 1):
-            nc = node_coordinates(self.m, level)
-            ch = chart(self.m, level - 1)
-            if nc.x_local * nc.y_local != ch.t:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class ComponentRestriction:
     """Restriction of one level function to one chain component.
 
@@ -273,9 +209,6 @@ class GhostExpansion:
     n_coords: int
     constants: tuple[tuple[Fraction, ...], ...]
     levels: tuple[ExpansionLevel, ...]
-
-    def residues(self) -> list[tuple[Fraction, ...]]:
-        return [lvl.residue_at_node for lvl in self.levels]
 
 
 def _component_names(m: int, level: int) -> list[tuple[str, int]]:
@@ -324,12 +257,21 @@ def expand_ghost(
         raise LocalModelError("ghost map needs at least one coordinate")
     _validate_input(comps)
     n_coords = len(comps)
-    charts = [chart(m, j) for j in range(m)]
-    t_inverse = LaurentPoly.monomial(XYT, (0, 0, -1))
+    # pulled[j - 1][k] buckets the pullback P_j of coordinate k to chart j-1
+    # by z-degree: {d: {w-exponent: coefficient}}.
+    pulled: list[list[dict[int, dict[int, Fraction]]]] = []
+    for j in range(m):
+        view = chart(m, j)
+        per_coord = []
+        for g in comps:
+            buckets: dict[int, dict[int, Fraction]] = {}
+            for (dz, dw), coeff in view.pullback(g).terms.items():
+                buckets.setdefault(dz, {})[dw] = coeff
+            per_coord.append(buckets)
+        pulled.append(per_coord)
 
     constants: list[tuple[Fraction, ...]] = [tuple(Fraction(0) for _ in comps)]
     levels: list[ExpansionLevel] = []
-    current = [g * t_inverse for g in comps]  # G_1 = G / t (a_0 = 0)
 
     for level in range(1, m + 1):
         records: list[ComponentRestriction] = []
@@ -338,14 +280,17 @@ def expand_ghost(
             # at the near node p_j. Positive w-exponents are a pole at the far
             # node p_{j+1} for compact components, but are harmless on the
             # ghost branch whose far end leaves the local model.
-            view = charts[j - 1]
             restrictions = []
             pole_order = 0
             residue = []
-            for g in current:
-                restricted, along = restrict_to_axis(view.pullback(g), "z")
-                if along > 0:
+            for buckets in pulled[j - 1]:
+                # G_level = (P_j - a_1 t - ... - a_(level-1) t^(level-1)) / t^level
+                # and t = zw, so a term z^d w^e becomes z^(d-level) w^(e-level).
+                if buckets and min(buckets) < level:
                     raise UnexpectedPole(level, name, "pole along the whole component")
+                restricted = LaurentPoly(
+                    ("w",), {(e - level,): c for e, c in buckets.get(level, {}).items()}
+                )
                 min_exp = restricted.min_exponent("w")
                 order = max(0, -(min_exp if min_exp is not None else 0))
                 max_exp = max((e[0] for e in restricted.terms), default=0)
@@ -402,12 +347,12 @@ def expand_ghost(
                     constants=constants,
                     levels_completed=levels,
                 )
-        a_level = tuple(values)
-        constants.append(a_level)
-        current = [
-            (g - LaurentPoly.constant(XYT, a)) * t_inverse
-            for g, a in zip(current, a_level)
-        ]
+        constants.append(tuple(values))
+        # On every deeper chart the z-degree-level terms are now exactly
+        # a_level (zw)^level, so removing them splits a_level off.
+        for per_coord in pulled[level:]:
+            for buckets in per_coord:
+                buckets.pop(level, None)
 
     return GhostExpansion(
         m=m,
@@ -459,43 +404,3 @@ def verify_residue_theorem(
     return ResidueReport(
         m=m, expected_residue=expected, expansion=expansion, failures=tuple(failures)
     )
-
-
-@dataclass(frozen=True)
-class SigmaValue:
-    """Leading-term value at one attachment point: (ghost tangent) (x) (residue).
-
-    ``tangent_coeff`` multiplies the coordinate tangent vector along the
-    ghost branch at the node; the pair feeds the obstruction engine as
-    (delta-slot coefficient, derivative vector).
-    """
-
-    tangent_coeff: Fraction
-    deriv: tuple[Fraction, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.tangent_coeff == 0 or not any(self.deriv)
-
-
-def sigma_values(
-    m: int,
-    residues: Sequence[Sequence],
-    convention: Optional[PhiConvention] = None,
-) -> tuple[SigmaValue, ...]:
-    """Package level-m residues as leading-term values, one per attachment.
-
-    Under the smoothing-parameter convention the m-th power of d/dt maps to
-    (effective tangent) (x) (ghost tangent), so the value at the node is the
-    ghost tangent vector tensored with the residue vector.
-    """
-    conv = convention if convention is not None else PhiConvention(m)
-    if conv.m != m:
-        raise LocalModelError(f"convention is for m = {conv.m}, expected {m}")
-    vectors = [rat_vector(r) for r in residues]
-    if not vectors:
-        raise LocalModelError("at least one residue vector is required")
-    width = len(vectors[0])
-    if any(len(v) != width for v in vectors):
-        raise LocalModelError("residue vectors must all have the same length")
-    return tuple(SigmaValue(tangent_coeff=Fraction(1), deriv=v) for v in vectors)

@@ -1,0 +1,139 @@
+"""Level-by-level oracle for ``ghostcheck.localmodel.expand_ghost``.
+
+The engine pulls each coordinate back to each chart once and reads every
+level off the pulled-back terms. This oracle keeps the direct route: it
+forms ``G_l = (G_(l-1) - a_(l-1)) / t`` downstairs in (x, y, t) at every
+level, pulls ``G_l`` back to the chart of every component of the sub-chain
+and restricts it to the component with ``restrict_to_axis``. It raises the
+same exceptions with the same messages, so reports can be compared whole.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence, Union
+
+from ghostcheck.laurent import LaurentPoly, restrict_to_axis
+from ghostcheck.localmodel import (
+    XYT,
+    ComponentRestriction,
+    ExpansionLevel,
+    GhostExpansion,
+    LocalModelError,
+    NonConstantLevel,
+    ResidueReport,
+    UnexpectedPole,
+    _component_names,
+    _validate_input,
+    chart,
+    effective_branch_derivative,
+)
+
+
+def oracle_expand_ghost(
+    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]], m: int
+) -> GhostExpansion:
+    if m < 1:
+        raise LocalModelError("m must be >= 1")
+    comps = [ghost_map] if isinstance(ghost_map, LaurentPoly) else list(ghost_map)
+    if not comps:
+        raise LocalModelError("ghost map needs at least one coordinate")
+    _validate_input(comps)
+    n_coords = len(comps)
+    charts = [chart(m, j) for j in range(m)]
+    t_inverse = LaurentPoly.monomial(XYT, (0, 0, -1))
+
+    constants: list[tuple[Fraction, ...]] = [tuple(Fraction(0) for _ in comps)]
+    levels: list[ExpansionLevel] = []
+    current = [g * t_inverse for g in comps]  # G_1 = G / t (a_0 = 0)
+
+    for level in range(1, m + 1):
+        records: list[ComponentRestriction] = []
+        for name, j in _component_names(m, level):
+            view = charts[j - 1]
+            restrictions = []
+            pole_order = 0
+            residue = []
+            for g in current:
+                restricted, along = restrict_to_axis(view.pullback(g), "z")
+                if along > 0:
+                    raise UnexpectedPole(level, name, "pole along the whole component")
+                min_exp = restricted.min_exponent("w")
+                order = max(0, -(min_exp if min_exp is not None else 0))
+                max_exp = max((e[0] for e in restricted.terms), default=0)
+                if j < m and max_exp > 0:
+                    raise UnexpectedPole(level, name, f"pole of order {max_exp} at the far node p_{j + 1}")
+                if order > 0 and j != level:
+                    raise UnexpectedPole(level, name, f"pole at p_{j}, outside the allowed node p_{level}")
+                if order > 1:
+                    raise UnexpectedPole(level, name, f"pole order {order} exceeds 1 at p_{j}")
+                restrictions.append(restricted)
+                pole_order = max(pole_order, order)
+                residue.append(restricted.coefficient((-1,)))
+            records.append(
+                ComponentRestriction(
+                    name=name,
+                    restriction=tuple(restrictions),
+                    pole_order=pole_order,
+                    residue=tuple(residue),
+                )
+            )
+        levels.append(
+            ExpansionLevel(
+                level=level,
+                constant=constants[level - 1],
+                components=tuple(records),
+                residue_at_node=records[0].residue,
+            )
+        )
+        if level == m:
+            break
+        values: list[Fraction] = [Fraction(0)] * n_coords
+        seeded = False
+        for record in records[1:]:
+            for k, restricted in enumerate(record.restriction):
+                if not restricted.is_constant:
+                    raise NonConstantLevel(
+                        level + 1,
+                        record.name,
+                        f"coordinate {k} restricts to {restricted!r}",
+                        constants=constants,
+                        levels_completed=levels,
+                    )
+            if not seeded:
+                values = [r.constant_value() for r in record.restriction]
+                seeded = True
+            elif [r.constant_value() for r in record.restriction] != values:
+                raise NonConstantLevel(
+                    level + 1,
+                    record.name,
+                    "components disagree on the constant value",
+                    constants=constants,
+                    levels_completed=levels,
+                )
+        a_level = tuple(values)
+        constants.append(a_level)
+        current = [
+            (g - LaurentPoly.constant(XYT, a)) * t_inverse
+            for g, a in zip(current, a_level)
+        ]
+
+    return GhostExpansion(
+        m=m,
+        n_coords=n_coords,
+        constants=tuple(constants),
+        levels=tuple(levels),
+    )
+
+
+def oracle_verify_residue_theorem(
+    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]], m: int
+) -> ResidueReport:
+    expansion = oracle_expand_ghost(ghost_map, m)
+    expected = effective_branch_derivative(ghost_map)
+    failures = tuple(
+        f"level {lvl.level}: residue {lvl.residue_at_node} != expected {expected}"
+        for lvl in expansion.levels
+        if lvl.residue_at_node != expected
+    )
+    return ResidueReport(m=m, expected_residue=expected, expansion=expansion, failures=failures)

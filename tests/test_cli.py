@@ -115,6 +115,8 @@ def assert_bad_input(code, out, err):
 
 
 NODAL = {"type": "nodal_rational", "genus": 1, "nodes": [["0", "1"]]}
+RAW = {"type": "raw", "genus": 1, "ev_matrix": [["1", "2"]]}
+LINEAR_G = [[{"exps": [1, 0, 0], "coeff": "1"}]]
 
 
 class TestStrictRationals:
@@ -125,13 +127,23 @@ class TestStrictRationals:
             {"curve_model": NODAL, "attachments": 5, "derivs": [["1"]]},
             {"genus": 1, "ambient_dim": 1, "points": [{"delta": ["1/0"], "deriv": ["1"]}]},
             {"genus": 1, "ambient_dim": 1, "points": [{"delta": [True], "deriv": ["1"]}]},
+            {"genus": 2.7, "ambient_dim": 1, "points": [{"delta": ["1", "1"], "deriv": ["1"]}]},
+            {"local_model": {"m": 2.5, "G": LINEAR_G}},
+            {"genus": True, "ambient_dim": 1, "points": [{"delta": ["1"], "deriv": ["1"]}]},
+            {"local_model": {"m": True, "G": LINEAR_G}},
+            {"local_model": {"m": 2, "G": [[{"exps": [1.7, 0, 0], "coeff": "1"}]]}},
+            {"curve_model": RAW, "attachments": [{"index": True}], "derivs": [["1"]]},
         ],
-        ids=["float-in-vector", "attachments-not-a-list", "zero-denominator", "bool-as-rational"],
+        ids=[
+            "float-in-vector", "attachments-not-a-list", "zero-denominator", "bool-as-rational",
+            "float-genus", "float-m", "bool-genus", "bool-m", "float-exponent", "bool-index",
+        ],
     )
     def test_malformed_value_is_bad_input(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, **data}))
-        code, out, err = run_cli(capsys, "check", str(path))
+        command = "localmodel" if "local_model" in data else "check"
+        code, out, err = run_cli(capsys, command, str(path))
         assert_bad_input(code, out, err)
 
 
@@ -186,11 +198,19 @@ class TestDims:
 
     def test_bad_stratum_file(self, capsys, tmp_path):
         spec_path = tmp_path / "stratum.json"
-        spec_path.write_text("[1, 2]")
-        code, _, _ = run_cli(
-            capsys, "dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", str(spec_path)
-        )
-        assert code == EXIT_BAD_INPUT
+        parts = [[0, 1]] * 12
+        for spec in (
+            [1, 2],
+            {"N": "abc", "h": 4, "parts": parts},
+            {"N": 3, "h": 4, "parts": [[1]]},
+            {"N": 2.9, "h": 4, "parts": parts},
+            {"N": 3, "h": True, "parts": parts},
+        ):
+            spec_path.write_text(json.dumps(spec))
+            code, out, err = run_cli(
+                capsys, "dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", str(spec_path)
+            )
+            assert_bad_input(code, out, err)
 
 
 class TestLocalModel:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostcheck.exact import QMatrix, integerize, rat, rat_to_str
+from ghostcheck.exact import QMatrix, integer, integerize, rat, rat_to_str
 from matrix_oracle import identity, matmul, oracle_kernel_basis, oracle_rank, transpose, zeros
 
 
@@ -79,6 +79,12 @@ class TestRat:
         for _ in range(100):
             q = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             assert rat(rat_to_str(q)) == q
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 2.7, "2", None, Fraction(2)])
+    def test_integer_accepts_ints_only(self, bad):
+        assert integer(-3) == -3
+        with pytest.raises(TypeError):
+            integer(bad)
 
     def test_integerize(self):
         assert integerize((Fraction(1, 2), Fraction(1, 3))) == (3, 2)

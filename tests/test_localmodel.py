@@ -4,20 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghostcheck.laurent import LaurentPoly
+from ghostcheck.jsonio import dump_json, residue_report_to_json
+from ghostcheck.laurent import LaurentPoly, normal_form_xyt
 from ghostcheck.localmodel import (
     XYT,
     ZW,
     GhostVanishingViolated,
     LocalModelError,
     NonConstantLevel,
-    PhiConvention,
     chart,
     effective_branch_derivative,
     expand_ghost,
-    node_coordinates,
-    sigma_values,
     verify_chart_relations,
     verify_residue_theorem,
 )
@@ -28,6 +28,7 @@ from ghostcheck.obstruction import (
     theorem_check,
 )
 from ghostcheck.selftest import oracle_chain_restrictions
+from localmodel_oracle import oracle_verify_residue_theorem
 
 
 def mono(exps, coeff=1):
@@ -84,33 +85,6 @@ class TestCharts:
             verify_chart_relations(9)
         with pytest.raises(LocalModelError):
             verify_chart_relations(0)
-
-
-class TestNodeCoordinates:
-    def test_m1_node_is_xy(self):
-        nc = node_coordinates(1, 1)
-        assert nc.x_in_xyt == mono((1, 0, 0))
-        assert nc.y_in_xyt == mono((-1, 0, 1))
-        assert nc.x_local * nc.y_local == chart(1, 0).t
-
-    def test_m2_level2(self):
-        nc = node_coordinates(2, 2)
-        # y_2 = w of chart 1, which is the global y there
-        assert nc.chart_index == 1
-        assert nc.y_local == chart(2, 1).y
-
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_product_is_t(self, m):
-        for level in range(1, m + 1):
-            nc = node_coordinates(m, level)
-            assert nc.x_local * nc.y_local == chart(m, level - 1).t
-            assert nc.x_in_xyt * nc.y_in_xyt == mono((0, 0, 1))
-
-    def test_level_out_of_range(self):
-        with pytest.raises(LocalModelError):
-            node_coordinates(2, 3)
-        with pytest.raises(LocalModelError):
-            node_coordinates(2, 0)
 
 
 class TestExpandGhost:
@@ -279,52 +253,64 @@ class TestResidueTheorem:
         g = X.scale(4) + mono((2, 0, 0), 7) + mono((1, 0, 2), -5)
         assert effective_branch_derivative(g) == (Fraction(4),)
 
-
-class TestPhiConvention:
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_factorization(self, m):
-        assert PhiConvention(m).verify_factorization()
-
-
-class TestSigmaValues:
-    def test_packaging(self):
-        values = sigma_values(2, [(1, 0)])
-        assert values[0].tangent_coeff == 1
-        assert values[0].deriv == (Fraction(1), Fraction(0))
-        assert not values[0].is_zero
-
-    def test_zero_value_when_derivative_vanishes(self):
-        report = verify_residue_theorem([mono((2, 0, 0)), mono((2, 0, 0))], 2)
-        (value,) = sigma_values(2, [report.expansion.levels[-1].residue_at_node])
-        assert value.is_zero
-
-    def test_length_mismatch(self):
-        with pytest.raises(LocalModelError):
-            sigma_values(2, [(1, 0), (1,)])
-        with pytest.raises(LocalModelError):
-            sigma_values(2, [])
-
-    def test_convention_m_must_match(self):
-        with pytest.raises(LocalModelError):
-            sigma_values(2, [(1,)], convention=PhiConvention(3))
-
-    def test_residues_from_expansion(self):
-        g = [X.scale(2), X.scale(-1)]
-        report = verify_residue_theorem(g, 3)
-        (value,) = sigma_values(3, [report.expansion.levels[-1].residue_at_node])
-        assert value.deriv == (Fraction(2), Fraction(-1))
-
     def test_feeds_obstruction_single_point(self):
-        # a nonzero leading-term value at one attachment point makes the
-        # injectivity test fire; a zero one leaves it inconclusive
+        # a nonzero residue at one attachment point makes the injectivity
+        # test fire; a zero one leaves it inconclusive
         for g, expected in (
             (X, Verdict.NOT_EVENTUALLY_SMOOTHABLE),
             (mono((2, 0, 0)), Verdict.INCONCLUSIVE),
         ):
             report = verify_residue_theorem([g, g], 2)
-            (value,) = sigma_values(2, [report.expansion.levels[-1].residue_at_node])
-            delta = [value.tangent_coeff * Fraction(1, 2), value.tangent_coeff * Fraction(1, 2)]
-            prob = ObstructionProblem(
-                2, 2, [AttachmentColumn(delta=delta, deriv=value.deriv)]
-            )
+            deriv = report.expansion.levels[-1].residue_at_node
+            delta = [Fraction(1, 2), Fraction(1, 2)]
+            prob = ObstructionProblem(2, 2, [AttachmentColumn(delta=delta, deriv=deriv)])
             assert theorem_check(prob).verdict is expected
+
+
+# x^a t^c, pure t^c (nonzero split-off constants), y^b t^c, and any
+# nonnegative monomial, mixed xy included, which the xy -> t^m normal form
+# rewrites as the command line does
+MONOMIALS = st.one_of(
+    st.tuples(st.integers(1, 3), st.just(0), st.integers(0, 3)),
+    st.tuples(st.just(0), st.just(0), st.integers(1, 6)),
+    st.tuples(st.just(0), st.integers(1, 2), st.integers(0, 10)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@st.composite
+def ghost_maps(draw):
+    m = draw(st.integers(1, 9))
+    coordinate = st.lists(st.tuples(MONOMIALS, st.integers(-4, 4)), max_size=5)
+    coords = draw(st.lists(coordinate, min_size=1, max_size=3))
+    return [normal_form_xyt(LaurentPoly(XYT, terms), m) for terms in coords], m
+
+
+def outcome(verify, components, m):
+    """Everything a report or a failure exposes, for comparison."""
+    try:
+        report = verify(components, m)
+    except NonConstantLevel as exc:
+        return ("NonConstantLevel", str(exc), exc.level, exc.component,
+                exc.constants, exc.levels_completed)
+    except LocalModelError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("report", report, dump_json(residue_report_to_json(report)))
+
+
+class TestExpansionOracle:
+    @given(ghost_maps())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_level_by_level_oracle(self, case):
+        components, m = case
+        assert outcome(verify_residue_theorem, components, m) == outcome(
+            oracle_verify_residue_theorem, components, m
+        )
+
+    def test_pure_t_terms_split_off_constants(self):
+        report = verify_residue_theorem(X + T.scale(3) + (T * T).scale(5), 4)
+        assert report.passed
+        assert [lvl.constant for lvl in report.expansion.levels] == [
+            (Fraction(0),), (Fraction(3),), (Fraction(5),), (Fraction(0),)
+        ]
+        assert all(lvl.residue_at_node == (Fraction(1),) for lvl in report.expansion.levels)
