@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, generate, dims, localmodel, selftest. Exit codes:
-0 ok, 1 selftest failure, 2 bad input, 3 internal invariant failure.
+0 ok, 1 selftest failure, 2 bad input or an unreadable or unwritable file,
+3 any other exception (a bug).
 Reports are byte-deterministic for identical inputs; GHOSTCHECK_THREADS is
 accepted (default 1) and the engines are sequential for any value, so the
 output never depends on it.
@@ -25,7 +26,6 @@ from .jsonio import (
     residue_report_to_json,
     verdict_pair_to_json,
 )
-from .laurent import normal_form_xyt
 from .localmodel import (
     GhostExpansion,
     GhostVanishingViolated,
@@ -51,13 +51,9 @@ def _verdict_text(verdict: Verdict) -> str:
 
 def _thread_count() -> int:
     raw = os.environ.get("GHOSTCHECK_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise InputError(f"GHOSTCHECK_THREADS must be a positive integer, got {raw!r}")
-    if count < 1:
-        raise InputError(f"GHOSTCHECK_THREADS must be a positive integer, got {raw!r}")
-    return count
+    return int(raw)
 
 
 def _emit(text: str, out=None):
@@ -116,10 +112,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        problem = build_line_star_instance(args.N, args.h, args.model, seed=args.seed)
-    except FactoryError as exc:
-        raise InputError(str(exc)) from exc
+    problem = build_line_star_instance(args.N, args.h, args.model, seed=args.seed)
     payload = dump_json({"version": 1, **problem_to_json(problem)})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -169,13 +162,7 @@ def cmd_localmodel(args) -> int:
         raise InputError(f"{args.path}: no local_model section")
     section = problem_file.local_model
     try:
-        components = [normal_form_xyt(c, section.m) for c in section.components]
-    except ValueError as exc:
-        raise InputError(f"{args.path}: {exc}") from exc
-    try:
-        report = verify_residue_theorem(components, section.m)
-    except GhostVanishingViolated as exc:
-        raise InputError(f"{args.path}: {exc}") from exc
+        report = verify_residue_theorem(section.components, section.m)
     except NonConstantLevel as exc:
         payload = {
             "m": section.m,
@@ -192,7 +179,7 @@ def cmd_localmodel(args) -> int:
         }
         partial = GhostExpansion(
             m=section.m,
-            n_coords=len(components),
+            n_coords=len(section.components),
             constants=exc.constants,
             levels=exc.levels_completed,
         )
@@ -304,16 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. The only place an exception becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         _thread_count()
         return args.func(args)
-    except (InputError, FactoryError, ObstructionError) as exc:
+    except (InputError, FactoryError, ObstructionError, GhostVanishingViolated, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
-    except (AssertionError, RuntimeError) as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:  # a bug, not bad input: one line, never a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 
 

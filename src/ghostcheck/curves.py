@@ -178,11 +178,6 @@ class NodalRationalModel:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "node_pairs", pairs)
 
-    def basis_residues(self, j: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        """((a_j, +1), (b_j, -1)): the defining residue data of eta_j."""
-        a, b = self.node_pairs[j]
-        return (a, Fraction(1)), (b, Fraction(-1))
-
     def validate_point(self, p: RatLike) -> Fraction:
         value = rat(p)
         for a, b in self.node_pairs:

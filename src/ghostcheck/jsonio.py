@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from .curves import (
     GhostCurveModel,
@@ -20,7 +20,7 @@ from .curves import (
 )
 from .exact import QMatrix, integer, rat, rat_to_str, rat_vector
 from .factory import StratumSpec
-from .laurent import LaurentPoly, poly_from_json, poly_to_json
+from .laurent import LaurentPoly, normal_form_xyt, poly_from_json
 from .localmodel import XYT, GhostExpansion, ResidueReport
 from .obstruction import (
     AttachmentColumn,
@@ -33,8 +33,12 @@ from .obstruction import (
 FORMAT_VERSION = 1
 
 
-class InputError(ValueError):
-    """Malformed or inconsistent problem file; maps to CLI exit code 2."""
+class InputError(Exception):
+    """Malformed or inconsistent problem file; maps to CLI exit code 2.
+
+    Not a ``ValueError``: the readers wrap only the errors of the values
+    they convert, so a message carries each location once.
+    """
 
 
 def _require(condition: bool, message: str):
@@ -43,8 +47,19 @@ def _require(condition: bool, message: str):
 
 
 def _get(mapping: Mapping, key: str, where: str):
+    _require(isinstance(mapping, Mapping), f"{where}: expected an object, got {type(mapping).__name__}")
     _require(key in mapping, f"{where}: missing field {key!r}")
     return mapping[key]
+
+
+def _list(value: Any, where: str) -> list:
+    """A JSON array; strings, objects and numbers are never iterated as one."""
+    _require(isinstance(value, list), f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _get_list(mapping: Mapping, key: str, where: str) -> list:
+    return _list(_get(mapping, key, where), f"{where}.{key}")
 
 
 # -- curve models -------------------------------------------------------------
@@ -52,41 +67,23 @@ def _get(mapping: Mapping, key: str, where: str):
 
 def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveModel:
     kind = _get(data, "type", where)
-    genus = integer(_get(data, "genus", where))
     try:
+        genus = integer(_get(data, "genus", where))
         if kind == "hyperelliptic":
-            return HyperellipticModel(genus, [rat(c) for c in _get(data, "f", where)])
+            return HyperellipticModel(genus, _get_list(data, "f", where))
         if kind == "nodal_rational":
-            pairs = [(rat(a), rat(b)) for a, b in _get(data, "nodes", where)]
-            return NodalRationalModel(genus, pairs)
+            nodes = _get_list(data, "nodes", where)
+            return NodalRationalModel(
+                genus, [_list(pair, f"{where}.nodes[{k}]") for k, pair in enumerate(nodes)]
+            )
         if kind == "raw":
-            rows = [[rat(v) for v in row] for row in _get(data, "ev_matrix", where)]
-            return RawEvaluationModel(genus, QMatrix(rows))
-    except ValueError as exc:
+            rows = _get_list(data, "ev_matrix", where)
+            return RawEvaluationModel(
+                genus, QMatrix([_list(row, f"{where}.ev_matrix[{r}]") for r, row in enumerate(rows)])
+            )
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
     raise InputError(f"{where}: unknown model type {kind!r}")
-
-
-def model_to_json(model: GhostCurveModel) -> dict:
-    if isinstance(model, HyperellipticModel):
-        return {
-            "type": "hyperelliptic",
-            "genus": model.genus,
-            "f": [rat_to_str(c) for c in model.f_coeffs],
-        }
-    if isinstance(model, NodalRationalModel):
-        return {
-            "type": "nodal_rational",
-            "genus": model.genus,
-            "nodes": [[rat_to_str(a), rat_to_str(b)] for a, b in model.node_pairs],
-        }
-    if isinstance(model, RawEvaluationModel):
-        return {
-            "type": "raw",
-            "genus": model.genus,
-            "ev_matrix": [[rat_to_str(v) for v in row] for row in model.matrix.entries],
-        }
-    raise TypeError(f"not a curve model: {model!r}")
 
 
 def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str):
@@ -96,7 +93,7 @@ def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str):
         if isinstance(model, NodalRationalModel):
             return rat(_get(data, "p", where))
         return integer(_get(data, "index", where))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 
@@ -107,8 +104,11 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
     try:
         if "curve_model" in data:
             model = model_from_json(_get(data, "curve_model", where), f"{where}.curve_model")
-            attachments = _get(data, "attachments", where)
-            derivs = _get(data, "derivs", where)
+            attachments = _get_list(data, "attachments", where)
+            derivs = [
+                _list(dv, f"{where}.derivs[{i}]")
+                for i, dv in enumerate(_get_list(data, "derivs", where))
+            ]
             _require(
                 len(attachments) == len(derivs),
                 f"{where}: {len(attachments)} attachments but {len(derivs)} derivative vectors",
@@ -130,13 +130,11 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
         genus = integer(_get(data, "genus", where))
         ambient = integer(_get(data, "ambient_dim", where))
         columns = []
-        for i, entry in enumerate(_get(data, "points", where)):
-            delta = rat_vector(_get(entry, "delta", f"{where}.points[{i}]"))
-            deriv = rat_vector(_get(entry, "deriv", f"{where}.points[{i}]"))
+        for i, entry in enumerate(_get_list(data, "points", where)):
+            delta = rat_vector(_get_list(entry, "delta", f"{where}.points[{i}]"))
+            deriv = rat_vector(_get_list(entry, "deriv", f"{where}.points[{i}]"))
             columns.append(AttachmentColumn(delta=delta, deriv=deriv))
         return ObstructionProblem(genus=genus, ambient_dim=ambient, points=columns)
-    except InputError:
-        raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -157,27 +155,27 @@ def problem_to_json(problem: ObstructionProblem) -> dict:
 
 @dataclass(frozen=True)
 class LocalModelInput:
+    """``m`` and one polynomial per target coordinate, in the xy -> t^m normal form."""
+
     m: int
     components: tuple[LaurentPoly, ...]
 
 
 def local_model_from_json(data: Mapping, where: str = "local_model") -> LocalModelInput:
+    """Read ``{"m": ..., "G": [...]}``. ``G`` is a function on xy = t^m, so each
+    coordinate is reduced to its normal form here, where its errors get their
+    location."""
     try:
         m = integer(_get(data, "m", where))
-        raw_components = _get(data, "G", where)
-        _require(isinstance(raw_components, list) and raw_components, f"{where}: G must be a nonempty list")
+        raw_components = _get_list(data, "G", where)
+        _require(raw_components, f"{where}: G must be a nonempty list")
         components = tuple(
-            poly_from_json(XYT, comp) for comp in raw_components
+            normal_form_xyt(poly_from_json(XYT, _list(comp, f"{where}.G[{k}]")), m)
+            for k, comp in enumerate(raw_components)
         )
         return LocalModelInput(m=m, components=components)
-    except InputError:
-        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{where}: {exc}") from exc
-
-
-def local_model_to_json(m: int, components: Sequence[LaurentPoly]) -> dict:
-    return {"m": m, "G": [poly_to_json(c) for c in components]}
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,10 @@ class ProblemFile:
 def problem_file_from_json(data: Any) -> ProblemFile:
     _require(isinstance(data, Mapping), "top level must be a JSON object")
     version = data.get("version", FORMAT_VERSION)
-    _require(version == FORMAT_VERSION, f"unsupported format version {version!r}")
+    _require(
+        type(version) is int and version == FORMAT_VERSION,
+        f"unsupported format version {version!r}",
+    )
     components: tuple[ObstructionProblem, ...] = ()
     if "components" in data:
         raw = data["components"]
@@ -210,13 +211,14 @@ def problem_file_from_json(data: Any) -> ProblemFile:
 
 
 def _read_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    """Parse a JSON file; an ``OSError`` (unreadable file) propagates as is."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             return json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        except (RecursionError, ValueError) as exc:  # too deep, not UTF-8, too many digits
+            raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_problem_file(path: str) -> ProblemFile:

@@ -77,16 +77,6 @@ def brute_force_passing_subsets(problem: ObstructionProblem) -> list[tuple[int, 
     return out
 
 
-def naive_corollary_check(problem: ObstructionProblem):
-    """Reference subset scan: first passing subset in (size, lex) order, or None."""
-    n = problem.n_points
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if rank_inequality_holds(problem, subset):
-                return subset
-    return None
-
-
 def oracle_chain_restrictions(
     component: LaurentPoly, m: int
 ) -> dict[tuple[int, int], dict[int, Fraction]]:

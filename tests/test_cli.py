@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -116,6 +118,7 @@ def assert_bad_input(code, out, err):
 
 NODAL = {"type": "nodal_rational", "genus": 1, "nodes": [["0", "1"]]}
 RAW = {"type": "raw", "genus": 1, "ev_matrix": [["1", "2"]]}
+HYPER_NO_F = {"type": "hyperelliptic", "genus": 1}
 LINEAR_G = [[{"exps": [1, 0, 0], "coeff": "1"}]]
 
 
@@ -133,10 +136,27 @@ class TestStrictRationals:
             {"local_model": {"m": True, "G": LINEAR_G}},
             {"local_model": {"m": 2, "G": [[{"exps": [1.7, 0, 0], "coeff": "1"}]]}},
             {"curve_model": RAW, "attachments": [{"index": True}], "derivs": [["1"]]},
+            {"genus": 2, "ambient_dim": 1, "points": [{"delta": "12", "deriv": ["1"]}]},
+            {"genus": 1, "ambient_dim": 1, "points": [{"delta": {"3": 0}, "deriv": ["1"]}]},
+            {"curve_model": HYPER_NO_F, "attachments": [{"x": "0", "y": "1"}], "derivs": [["1"]]},
+            {"curve_model": {**HYPER_NO_F, "f": "1001"}, "attachments": [{"x": "0", "y": "1"}],
+             "derivs": [["1"]]},
+            {"curve_model": {**NODAL, "nodes": ["01"]}, "attachments": [{"p": "2"}], "derivs": [["1"]]},
+            {"curve_model": {**RAW, "ev_matrix": ["12"]}, "attachments": [{"index": 0}],
+             "derivs": [["1"]]},
+            {"curve_model": NODAL, "attachments": [{"p": "2"}], "derivs": ["1"]},
+            {"genus": 1, "ambient_dim": 1, "points": {"delta": ["1"], "deriv": ["1"]}},
+            {"components": "ab"},
+            {"local_model": {"m": 2, "G": [{}]}},
+            {"local_model": {"m": 2, "G": "x"}},
+            {"version": True, "genus": 1, "ambient_dim": 1, "points": [{"delta": ["1"], "deriv": ["1"]}]},
         ],
         ids=[
             "float-in-vector", "attachments-not-a-list", "zero-denominator", "bool-as-rational",
             "float-genus", "float-m", "bool-genus", "bool-m", "float-exponent", "bool-index",
+            "delta-a-string", "delta-an-object", "missing-f", "f-a-string", "node-pair-a-string",
+            "ev-row-a-string", "derivs-row-a-string", "points-an-object", "components-a-string",
+            "term-list-an-object", "G-a-string", "bool-version",
         ],
     )
     def test_malformed_value_is_bad_input(self, capsys, tmp_path, data):
@@ -278,9 +298,21 @@ class TestLocalModel:
         assert "verdict: pass" in first
 
 
+@pytest.fixture(scope="module")
+def two_selftest_runs():
+    """(exit code, stdout) of two full selftest runs, shared by the tests below."""
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["selftest"])
+        runs.append((code, out.getvalue()))
+    return runs
+
+
 class TestSelftest:
-    def test_fresh_build_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest")
+    def test_fresh_build_passes(self, two_selftest_runs):
+        code, out = two_selftest_runs[0]
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines[-1] == "selftest: 9/9 criteria passed"
@@ -319,9 +351,8 @@ class TestSelftest:
         assert report["passed"] is True
         assert report["criteria"][0]["name"] == "always-passes"
 
-    def test_repeated_runs_identical_bytes(self, capsys):
-        _, first, _ = run_cli(capsys, "selftest")
-        _, second, _ = run_cli(capsys, "selftest")
+    def test_repeated_runs_identical_bytes(self, two_selftest_runs):
+        (_, first), (_, second) = two_selftest_runs
         assert first == second
 
 
@@ -348,3 +379,11 @@ class TestEnvironment:
         code, _, err = run_cli(capsys, "check", str(star_file))
         assert code == EXIT_INTERNAL
         assert "internal error" in err
+
+        def lookup_bug(problem):
+            return {}["missing"]
+
+        monkeypatch.setattr(cli_module, "corollary_check", lookup_bug)
+        code, out, err = run_cli(capsys, "check", str(star_file))
+        assert code == EXIT_INTERNAL
+        assert out == "" and err == "internal error: KeyError: 'missing'\n"

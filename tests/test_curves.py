@@ -119,13 +119,6 @@ class TestNodalRationalModel:
         with pytest.raises(DuplicatePoint):
             model.ev_matrix([2, 2])
 
-    def test_basis_residues_are_opposite(self):
-        model = NodalRationalModel(3, [(0, 1), (2, 3), (4, 5)])
-        for j in range(3):
-            (a, ra), (b, rb) = model.basis_residues(j)
-            assert (a, b) == model.node_pairs[j]
-            assert ra == 1 and rb == -1
-
     def test_rescaling(self):
         model = NodalRationalModel(2, [(0, 1), (2, 3)])
         lam = Fraction(5)

@@ -20,7 +20,7 @@ from ghostcheck.obstruction import (
     subset_ranks,
     theorem_check,
 )
-from ghostcheck.selftest import brute_force_passing_subsets, naive_corollary_check
+from ghostcheck.selftest import brute_force_passing_subsets
 
 
 def problem(genus, ambient, columns):
@@ -135,7 +135,8 @@ class TestCorollaryCheck:
                 rng.getrandbits(32), rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 7)
             )
             verdict = corollary_check(p)
-            reference = naive_corollary_check(p)
+            # brute_force_passing_subsets lists subsets in (|D|, lex) order
+            reference = next(iter(brute_force_passing_subsets(p)), None)
             if reference is None:
                 assert verdict.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE
                 assert verdict.witness_D is None
