@@ -243,8 +243,17 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST_FAILED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as ``InputError``, so ``main`` prints it as one
+    ``error:`` line and returns exit 2 instead of argparse printing its usage
+    block and exiting. ``--help`` and ``--version`` still exit 0."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ghostcheck",
         description="Exact smoothing-obstruction checks for ghost components of stable maps",
     )
@@ -292,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. The only place an exception becomes an exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _thread_count()
         return args.func(args)
     except (InputError, FactoryError, ObstructionError, GhostVanishingViolated, OSError) as exc:

@@ -32,6 +32,10 @@ from .obstruction import (
 
 FORMAT_VERSION = 1
 
+# The local-model report lists every component at every level, about m^2/2
+# entries, so its cost grows as m^2; this bound keeps the worst file in time.
+MAX_LOCAL_M = 256
+
 
 class InputError(Exception):
     """Malformed or inconsistent problem file; maps to CLI exit code 2.
@@ -167,6 +171,7 @@ def local_model_from_json(data: Mapping, where: str = "local_model") -> LocalMod
     location."""
     try:
         m = integer(_get(data, "m", where))
+        _require(m <= MAX_LOCAL_M, f"{where}: m = {m} exceeds the limit {MAX_LOCAL_M}")
         raw_components = _get_list(data, "G", where)
         _require(raw_components, f"{where}: G must be a nonempty list")
         components = tuple(

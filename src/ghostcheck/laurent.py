@@ -3,9 +3,9 @@
 A polynomial is a finite map from exponent vectors (integers, possibly
 negative) to nonzero rational coefficients, together with an ordered
 variable list. Zero coefficients are never stored, so equality is
-structural. Serialization orders terms graded-lexicographically
-(total degree first, then the exponent vector) to keep fixtures and
-reports byte-stable.
+structural. ``repr`` orders terms graded-lexicographically (total
+degree first, then the exponent vector) to keep the messages that quote a
+polynomial byte-stable.
 
 Example
 -------
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .exact import RatLike, integer, rat, rat_to_str
+from .exact import RatLike, integer, rat
 
 
 class LaurentVariableMismatch(ValueError):
@@ -60,6 +60,19 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _canonical(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
+        """Wrap terms that are already canonical, without checking them.
+
+        The caller guarantees distinct variable names, int exponent tuples of
+        the right length and nonzero ``Fraction`` coefficients, and hands over
+        ``terms``: it must not mutate the dict afterwards.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -291,14 +304,6 @@ def normal_form_xyt(poly: LaurentPoly, m: int) -> LaurentPoly:
         else:
             out.pop(e, None)
     return LaurentPoly(poly.variables, out)
-
-
-def poly_to_json(poly: LaurentPoly) -> list[dict]:
-    """Serialize terms as [{"exps": [...], "coeff": "a/b"}, ...] in graded-lex order."""
-    return [
-        {"exps": list(exps), "coeff": rat_to_str(coeff)}
-        for exps, coeff in poly.sorted_terms()
-    ]
 
 
 def poly_from_json(variables: Sequence[str], data: Iterable[Mapping]) -> LaurentPoly:

@@ -21,15 +21,24 @@ Given a function G(x, y, t) vanishing on the ghost side of the fiber,
     G = a_0 + a_1 t + ... + a_{m-1} t^(m-1) + t^m G_m,
 
 restricting each G_l to the sub-chain E_l ... E_m and recording pole orders
-and residues at the nodes. Each coordinate of G is pulled back to each chart
-once: since t = zw in every chart, G_l in chart j-1 is
+and residues at the nodes. Since t = zw in every chart, G_l in chart j-1 is
 (P_j - a_1 (zw) - ... - a_{l-1} (zw)^(l-1)) / (zw)^l with P_j the pullback
 of G, so the restriction of G_l to E_j is read off the terms of P_j of
-z-degree l. For valid input the only pole at level l is a simple one at
-p_l, with residue equal to the x-linear coefficient of G(x, 0, 0), the
-derivative of G along the effective branch at the first node. Constancy of G_l on the deeper sub-chain is a global property of the
-compact ghost curve; the affine model checks it and raises NonConstantLevel
-when the input does not extend.
+z-degree l, with the w-exponent shifted by -l. The pullback is never formed
+by substitution: in chart j-1 the term x^a y^b t^c is the single monomial
+
+    z^d w^(d + b - a),   d = a*j + b*(m-j) + c,
+
+with its coefficient unchanged (every chart image has coefficient 1), so it
+lands on level d of E_j as coefficient * w^(b - a). On input without mixed
+xy terms this is injective: b - a fixes (a, b), as one of them is 0, and d
+then fixes c. Distinct terms therefore never merge or cancel, and every
+level restriction is canonical as built. For valid input the only pole at
+level l is a simple one at p_l, with residue equal to the x-linear
+coefficient of G(x, 0, 0), the derivative of G along the effective branch
+at the first node. Constancy of G_l on the deeper sub-chain is a global
+property of the compact ghost curve; the affine model checks it and raises
+NonConstantLevel when the input does not extend.
 """
 
 from __future__ import annotations
@@ -42,6 +51,9 @@ from .laurent import LaurentPoly, substitute
 
 XYT = ("x", "y", "t")
 ZW = ("z", "w")
+W = ("w",)
+ZERO = Fraction(0)
+ZERO_W = LaurentPoly(W)
 
 MAX_CHART_M = 8
 
@@ -258,24 +270,32 @@ def expand_ghost(
     _validate_input(comps)
     n_coords = len(comps)
     # pulled[j - 1][k] buckets the pullback P_j of coordinate k to chart j-1
-    # by z-degree: {d: {w-exponent: coefficient}}.
-    pulled: list[list[dict[int, dict[int, Fraction]]]] = []
-    for j in range(m):
-        view = chart(m, j)
-        per_coord = []
-        for g in comps:
-            buckets: dict[int, dict[int, Fraction]] = {}
-            for (dz, dw), coeff in view.pullback(g).terms.items():
-                buckets.setdefault(dz, {})[dw] = coeff
-            per_coord.append(buckets)
-        pulled.append(per_coord)
+    # by z-degree d, each bucket already shifted to the level-d restriction
+    # to E_j: {d: {(w-exponent - d,): coefficient}}. In chart j-1 the term
+    # x^a y^b t^c is the single monomial z^d w^(d + b - a) with
+    # d = a*j + b*(m-j) + c, and its coefficient is unchanged because every
+    # chart image has coefficient 1. Without mixed xy terms (_validate_input)
+    # b - a fixes (a, b) and then d fixes c, so distinct terms never merge or
+    # cancel and every bucket is canonical as built. Levels stop at m, so
+    # z-degrees above m are never read.
+    pulled: list[list[dict[int, dict[tuple[int], Fraction]]]] = [
+        [{} for _ in comps] for _ in range(m)
+    ]
+    for k, g in enumerate(comps):
+        for (a, b, c), coeff in g.terms.items():
+            shifted = (b - a,)
+            for j in range(1, m + 1):
+                d = a * j + b * (m - j) + c
+                if d <= m:
+                    pulled[j - 1][k].setdefault(d, {})[shifted] = coeff
 
+    components = _component_names(m, 1)
     constants: list[tuple[Fraction, ...]] = [tuple(Fraction(0) for _ in comps)]
     levels: list[ExpansionLevel] = []
 
     for level in range(1, m + 1):
         records: list[ComponentRestriction] = []
-        for name, j in _component_names(m, level):
+        for name, j in components[level - 1:]:
             # E_j is {z = 0} in chart j-1; its coordinate there is w, centered
             # at the near node p_j. Positive w-exponents are a pole at the far
             # node p_{j+1} for compact components, but are harmless on the
@@ -288,21 +308,22 @@ def expand_ghost(
                 # and t = zw, so a term z^d w^e becomes z^(d-level) w^(e-level).
                 if buckets and min(buckets) < level:
                     raise UnexpectedPole(level, name, "pole along the whole component")
-                restricted = LaurentPoly(
-                    ("w",), {(e - level,): c for e, c in buckets.get(level, {}).items()}
-                )
-                min_exp = restricted.min_exponent("w")
-                order = max(0, -(min_exp if min_exp is not None else 0))
-                max_exp = max((e[0] for e in restricted.terms), default=0)
-                if j < m and max_exp > 0:
-                    raise UnexpectedPole(level, name, f"pole of order {max_exp} at the far node p_{j + 1}")
+                terms = buckets.get(level)
+                if terms is None:
+                    restrictions.append(ZERO_W)  # shared: LaurentPoly is immutable
+                    residue.append(ZERO)
+                    continue
+                (low,), (high,) = min(terms), max(terms)
+                order = max(0, -low)
+                if j < m and high > 0:
+                    raise UnexpectedPole(level, name, f"pole of order {high} at the far node p_{j + 1}")
                 if order > 0 and j != level:
                     raise UnexpectedPole(level, name, f"pole at p_{j}, outside the allowed node p_{level}")
                 if order > 1:
                     raise UnexpectedPole(level, name, f"pole order {order} exceeds 1 at p_{j}")
-                restrictions.append(restricted)
+                restrictions.append(LaurentPoly._canonical(W, terms))
                 pole_order = max(pole_order, order)
-                residue.append(restricted.coefficient((-1,)))
+                residue.append(terms.get((-1,), ZERO))
             records.append(
                 ComponentRestriction(
                     name=name,
@@ -324,11 +345,10 @@ def expand_ghost(
             break
         # Split off a_level: G_level must be a single constant on the deeper
         # sub-chain (a global fact for the compact ghost curve; here checked).
-        values: list[Fraction] = [Fraction(0)] * n_coords
-        seeded = False
+        values = None
         for record in records[1:]:
             for k, restricted in enumerate(record.restriction):
-                if not restricted.is_constant:
+                if any(e != (0,) for e in restricted.terms):
                     raise NonConstantLevel(
                         level + 1,
                         record.name,
@@ -336,10 +356,10 @@ def expand_ghost(
                         constants=constants,
                         levels_completed=levels,
                     )
-            if not seeded:
-                values = [r.constant_value() for r in record.restriction]
-                seeded = True
-            elif [r.constant_value() for r in record.restriction] != values:
+            record_values = [r.terms.get((0,), ZERO) for r in record.restriction]
+            if values is None:
+                values = record_values
+            elif record_values != values:
                 raise NonConstantLevel(
                     level + 1,
                     record.name,

@@ -2,7 +2,7 @@
 
 Each criterion is exact (zero tolerance) and carries a wall-clock budget.
 The checks pit the engines against independent oracles: brute-force subset
-enumeration for the witness logic, a closed-form monomial rule for the
+enumeration for the witness logic, chart-by-chart substitution for the
 chain restrictions, and hand-evaluated fixtures for the dimension counts.
 Details in the results never include timings, so repeated runs print
 identical bytes.
@@ -29,7 +29,7 @@ from .factory import (
     random_instance,
 )
 from .laurent import LaurentPoly
-from .localmodel import XYT, verify_chart_relations, verify_residue_theorem
+from .localmodel import XYT, chart, verify_chart_relations, verify_residue_theorem
 from .obstruction import (
     AttachmentColumn,
     ObstructionProblem,
@@ -80,27 +80,23 @@ def brute_force_passing_subsets(problem: ObstructionProblem) -> list[tuple[int, 
 def oracle_chain_restrictions(
     component: LaurentPoly, m: int
 ) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """Closed-form level restrictions for constant-free expansions.
+    """Level restrictions for constant-free expansions, by chart substitution.
 
-    A monomial x^a y^b t^c pulled back to the chart of chain component j
-    (1..m, with m the ghost branch) restricts to coeff * w^(b-a) exactly at
-    level a*j + b*(m-j) + c, and to zero at every other level. Valid when
-    all split-off constants vanish, which holds on the admissible corpus
-    (every monomial has a >= 1).
+    With every split-off constant zero, G_l = G / t^l. Chain component j
+    (1..m, with m the ghost branch) is {z = 0} in chart j-1, where t = zw,
+    so the restriction of G_l to it is the z-degree-l part of the chart's
+    pullback of G with its w-exponents shifted by -l; it is read for every
+    level l <= j. Valid when all split-off constants vanish, which holds on
+    the admissible corpus (every monomial has a >= 1). The pullback goes
+    through ``laurent.substitute``, never through the exponent rule the
+    engine uses.
     """
     out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b, c), coeff in component.terms.items():
-        for j in range(1, m + 1):
-            level = a * j + b * (m - j) + c
-            if 1 <= level <= m and j >= level:
-                bucket = out.setdefault((level, j), {})
-                e = b - a
-                val = bucket.get(e, Fraction(0)) + coeff
-                if val:
-                    bucket[e] = val
-                else:
-                    bucket.pop(e, None)
-    return {key: bucket for key, bucket in out.items() if bucket}
+    for j in range(1, m + 1):
+        for (dz, dw), coeff in chart(m, j - 1).pullback(component).terms.items():
+            if 1 <= dz <= j:
+                out.setdefault((dz, j), {})[dw - dz] = coeff
+    return out
 
 
 def _admissible_ghost_map(rng: random.Random, n_coords: int) -> list[LaurentPoly]:
@@ -245,7 +241,7 @@ def check_residue_leading_term() -> tuple[bool, str]:
                         if got != oracle.get((lvl.level, j), {}):
                             return False, (
                                 f"m={m} level {lvl.level} {record.name}: chart restriction "
-                                f"disagrees with the monomial rule"
+                                f"disagrees with the chart pullback"
                             )
             checked += 1
     return True, f"{checked} admissible maps: poles simple, residues exact, oracle agrees"

@@ -1,7 +1,7 @@
 """Level-by-level oracle for ``ghostcheck.localmodel.expand_ghost``.
 
-The engine pulls each coordinate back to each chart once and reads every
-level off the pulled-back terms. This oracle keeps the direct route: it
+The engine never substitutes: it files each term of G straight into its
+level restriction from the exponents. This oracle keeps the direct route: it
 forms ``G_l = (G_(l-1) - a_(l-1)) / t`` downstairs in (x, y, t) at every
 level, pulls ``G_l`` back to the chart of every component of the sub-chain
 and restricts it to the component with ``restrict_to_axis``. It raises the

@@ -387,3 +387,25 @@ class TestEnvironment:
         code, out, err = run_cli(capsys, "check", str(star_file))
         assert code == EXIT_INTERNAL
         assert out == "" and err == "internal error: KeyError: 'missing'\n"
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--N", "abc", "--h", "2"], "argument --N: invalid int value: 'abc'"),
+            (["check"], "the following arguments are required: path"),
+            ([], "the following arguments are required: command"),
+            (["dims", "--N", "3", "--g", "1", "--d", "1", "--frob"], "unrecognized arguments: --frob"),
+        ],
+        ids=["bad-int", "missing-path", "missing-command", "unknown-flag"],
+    )
+    def test_argument_error_is_one_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(("usage: ghostcheck", "ghostcheck "))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostcheck.cli import EXIT_BAD_INPUT, EXIT_OK, main
+from ghostcheck.jsonio import MAX_LOCAL_M
 
 HYPER = {"type": "hyperelliptic", "genus": 2, "f": ["1", "2", "0", "0", "0", "1"]}
 
@@ -64,10 +65,6 @@ SEEDS = {
 }
 
 DEEP = "@deep@"  # stands for a nested array; json.dumps cannot write one 5000 deep
-
-# A huge `m` is left out: the chain expansion has no bound on `m` yet and
-# would run for as long as `m` is large (an open item in ROADMAP.md).
-UNBOUNDED_KEYS = {"m"}
 
 swapped_values = st.one_of(
     st.none(),
@@ -125,7 +122,7 @@ def mutations(draw):
         del parent[key]
     elif kind == "swap":
         parent[key] = draw(swapped_values)
-    elif kind == "huge" and key not in UNBOUNDED_KEYS:
+    elif kind == "huge":
         parent[key] = draw(huge_integers)
     elif kind == "deep":
         parent[key] = DEEP
@@ -175,6 +172,18 @@ def test_unparsable_bytes(tmp_path, raw):
     code, out, err = run(["check", str(path)])
     assert code == EXIT_BAD_INPUT
     assert_definite_answer(code, out, err)
+
+
+@pytest.mark.parametrize("m", [MAX_LOCAL_M + 1, 10**6, 10**18])
+@pytest.mark.parametrize("name", ["local-pass", "local-stop"])
+def test_huge_m_is_bad_input(tmp_path, name, m):
+    data = copy.deepcopy(SEEDS[name][1])
+    data["local_model"]["m"] = m
+    path = tmp_path / "huge_m.json"
+    write(path, data)
+    assert run(SEEDS[name][0] + [str(path)]) == (
+        EXIT_BAD_INPUT, "", f"error: local_model: m = {m} exceeds the limit {MAX_LOCAL_M}\n"
+    )
 
 
 def test_missing_field_names_its_location_once(tmp_path):

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghostcheck.laurent as laurent_module
+import ghostcheck.localmodel as localmodel_module
 from ghostcheck.jsonio import dump_json, residue_report_to_json
 from ghostcheck.laurent import LaurentPoly, normal_form_xyt
 from ghostcheck.localmodel import (
     XYT,
     ZW,
+    Chart,
     GhostVanishingViolated,
     LocalModelError,
     NonConstantLevel,
@@ -314,3 +317,75 @@ class TestExpansionOracle:
             (Fraction(0),), (Fraction(3),), (Fraction(5),), (Fraction(0),)
         ]
         assert all(lvl.residue_at_node == (Fraction(1),) for lvl in report.expansion.levels)
+
+
+def normal_form_map(m, *coords):
+    """Coordinates given as {(a, b, c): coeff}, reduced modulo xy = t^m as the CLI does."""
+    return [normal_form_xyt(LaurentPoly(XYT, terms), m) for terms in coords]
+
+
+# Beyond the m <= 9 the hypothesis oracle reaches: x^a t^c, pure t^c (nonzero
+# split-off constants), y^b t^m (regular on the ghost branch), mixed terms
+# that the normal form pushes past the last level, and y t^c stops.
+LARGE_M_CASES = {
+    "m40-pass": (40, [
+        {(1, 0, 0): 1, (0, 0, 1): 3, (0, 0, 2): 5, (2, 0, 1): -2, (3, 0, 0): 7,
+         (0, 1, 40): 4, (3, 1, 1): 6},
+        {(1, 0, 0): 2, (0, 0, 7): -1, (0, 2, 40): Fraction(1, 3), (2, 2, 0): 9},
+    ]),
+    "m64-pass": (64, [
+        {(1, 0, 0): Fraction(5, 7), (1, 0, 3): 1, (4, 0, 0): -3, (0, 0, 63): 2,
+         (0, 3, 64): 1, (2, 1, 5): 8},
+        {(2, 0, 0): 1, (0, 0, 30): -4},
+        {(1, 0, 0): -1, (1, 1, 0): 2},
+    ]),
+    "m40-stop": (40, [
+        {(1, 0, 0): 1, (0, 0, 5): 2, (0, 1, 17): 3},
+    ]),
+    "m64-stop": (64, [
+        {(1, 0, 0): 1, (0, 0, 2): 1},
+        {(3, 0, 1): 2, (0, 2, 33): -1, (1, 2, 1): 5},
+    ]),
+}
+
+
+class TestClosedFormPullback:
+    @pytest.mark.parametrize("name", sorted(LARGE_M_CASES))
+    def test_pinned_large_m_matches_oracle(self, name):
+        m, coords = LARGE_M_CASES[name]
+        components = normal_form_map(m, *coords)
+        result = outcome(verify_residue_theorem, components, m)
+        assert result == outcome(oracle_verify_residue_theorem, components, m)
+        assert result[0] == ("NonConstantLevel" if name.endswith("stop") else "report")
+
+    def test_never_substitutes(self, monkeypatch):
+        cases = [(normal_form_map(m, *coords), m) for m, coords in LARGE_M_CASES.values()]
+        expected = [outcome(verify_residue_theorem, *case) for case in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("expand_ghost must not substitute")
+
+        monkeypatch.setattr(laurent_module, "substitute", forbidden)
+        monkeypatch.setattr(localmodel_module, "substitute", forbidden)
+        monkeypatch.setattr(Chart, "pullback", forbidden)
+        assert [outcome(verify_residue_theorem, *case) for case in cases] == expected
+
+    @given(ghost_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_restrictions_are_canonical(self, case):
+        components, m = case
+        try:
+            levels = expand_ghost(components, m).levels
+        except NonConstantLevel as exc:
+            levels = exc.levels_completed
+        except LocalModelError:
+            return
+        for level in levels:
+            for record in level.components:
+                for restricted in record.restriction:
+                    assert restricted == LaurentPoly(("w",), restricted.terms)
+                    assert all(
+                        type(e) is tuple and len(e) == 1 and type(e[0]) is int
+                        and type(c) is Fraction and c
+                        for e, c in restricted.terms.items()
+                    )
