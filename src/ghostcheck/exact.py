@@ -9,9 +9,10 @@ denominator, structural equality), serialized as ``"a/b"`` or ``"a"``.
 
 One fraction-free integer echelon, ``IntEchelon``, does every elimination:
 ``QMatrix.rank`` and ``QMatrix.kernel_basis`` scale each row to integers and
-insert it, and the subset scan in ``ghostcheck.obstruction`` grows one
-echelon point by point. No ``Fraction`` is divided during elimination; only
-the kernel's back-substitution returns to the rationals.
+insert it, the subset scan in ``ghostcheck.obstruction`` grows one
+echelon point by point, and its matroid partition reads fundamental
+circuits off ``IntEchelon.reduced``. No ``Fraction`` is divided during
+elimination; only the kernel's back-substitution returns to the rationals.
 """
 
 from __future__ import annotations
@@ -100,12 +101,22 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def inserted(self, vec: tuple[int, ...]) -> "IntEchelon":
+    def reduced(self, vec: Sequence[int]) -> list[int]:
+        """``vec`` with every pivot coordinate cleared by fraction-free row steps.
+
+        The result is a nonzero multiple of ``vec`` minus an integer
+        combination of the rows; it is zero exactly when ``vec`` lies in
+        their span.
+        """
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 a, b = v[p], row[p]
                 v = [x * b - y * a for x, y in zip(v, row)]
+        return v
+
+    def inserted(self, vec: tuple[int, ...]) -> "IntEchelon":
+        v = self.reduced(vec)
         if not any(v):
             return self
         g = 0

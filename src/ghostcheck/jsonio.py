@@ -33,8 +33,12 @@ from .obstruction import (
 FORMAT_VERSION = 1
 
 # The local-model report lists every component at every level, about m^2/2
-# entries, so its cost grows as m^2; this bound keeps the worst file in time.
+# entries per coordinate, so its cost grows as m^2 times the coordinates and
+# the expansion files every term once per chart; these bounds keep the worst
+# file in time.
 MAX_LOCAL_M = 256
+MAX_LOCAL_COORDS = 16
+MAX_LOCAL_TERMS = 64  # per coordinate, counted as listed in the file
 
 
 class InputError(Exception):
@@ -174,11 +178,19 @@ def local_model_from_json(data: Mapping, where: str = "local_model") -> LocalMod
         _require(m <= MAX_LOCAL_M, f"{where}: m = {m} exceeds the limit {MAX_LOCAL_M}")
         raw_components = _get_list(data, "G", where)
         _require(raw_components, f"{where}: G must be a nonempty list")
-        components = tuple(
-            normal_form_xyt(poly_from_json(XYT, _list(comp, f"{where}.G[{k}]")), m)
-            for k, comp in enumerate(raw_components)
+        _require(
+            len(raw_components) <= MAX_LOCAL_COORDS,
+            f"{where}: G has {len(raw_components)} coordinates, over the limit {MAX_LOCAL_COORDS}",
         )
-        return LocalModelInput(m=m, components=components)
+        components = []
+        for k, comp in enumerate(raw_components):
+            terms = _list(comp, f"{where}.G[{k}]")
+            _require(
+                len(terms) <= MAX_LOCAL_TERMS,
+                f"{where}: G[{k}] has {len(terms)} terms, over the limit {MAX_LOCAL_TERMS}",
+            )
+            components.append(normal_form_xyt(poly_from_json(XYT, terms), m))
+        return LocalModelInput(m=m, components=tuple(components))
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 

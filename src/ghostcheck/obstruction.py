@@ -15,12 +15,21 @@ and decides two one-directional verdicts:
   inconclusive with witness D; if no subset does, the verdict is
   "NotEventuallySmoothable".
 
+The subset test is decided in polynomial time by matroid partition
+(Edmonds 1968, with Cunningham's shortest augmenting paths) over the two
+column matroids M_V (derivatives) and M_E (covectors), and every
+obstructed verdict carries one split per point that is checked with exact
+ranks before it is returned. The exponential (|D|, lex) subset scan runs
+only on inconclusive problems, to find the minimal witness, and only it is
+capped at 24 points.
+
 The engine never claims smoothability: a trivial kernel is the only
 obstructed outcome, everything else is inconclusive.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +45,11 @@ class ObstructionError(ValueError):
 
 
 class TooManyPoints(ObstructionError):
-    """Subset enumeration is capped at 24 points (2^24 subsets worst case)."""
+    """The witness search is capped at 24 points (2^24 subsets worst case).
+
+    Raised only for an inconclusive subset test; an obstructed verdict needs
+    no witness and is returned for any number of points.
+    """
 
 
 class NotAKernelVector(ObstructionError):
@@ -173,25 +186,210 @@ def _first_witness_of_size(
     return recurse(0, [], IntEchelon(), IntEchelon())
 
 
-def corollary_check(problem: ObstructionProblem) -> CorollaryVerdict:
-    """Exhaustive subset rank test with witness minimal under (|D|, lex).
+def _minimal_witness(
+    problem: ObstructionProblem, vcols: Sequence[tuple[int, ...]], ecols: Sequence[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The (|D|, lex)-minimal passing subset of a problem known to have one.
 
     All nonempty subsets are covered, smallest cardinality first; within a
     cardinality class the scan is lexicographic and stops at the first
-    witness. No subset passing means the obstructed verdict.
+    witness, which is re-checked with exact ranks.
     """
     n = problem.n_points
     if n > MAX_SUBSET_POINTS:
         raise TooManyPoints(f"{n} attachment points exceed the cap of {MAX_SUBSET_POINTS}")
-    vcols = [integerize(p.deriv) for p in problem.points]
-    ecols = [integerize(p.delta) for p in problem.points]
     for size in range(1, n + 1):
         witness = _first_witness_of_size(size, n, vcols, ecols)
         if witness is not None:
             if not rank_inequality_holds(problem, witness):
                 raise AssertionError("subset scan and exact ranks disagree; this is a bug")
-            return CorollaryVerdict(Verdict.INCONCLUSIVE, witness)
-    return CorollaryVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, None)
+            return witness
+    raise AssertionError("matroid partition and subset scan disagree on the verdict; this is a bug")
+
+
+class _Circuits:
+    """Fundamental circuits of one independent set of columns.
+
+    One echelon holds each member's column followed by its unit tag e_i.
+    Reducing a query's tagged column clears the column part exactly when
+    the query lies in the members' span; the tag part then holds the
+    query's unique dependency on the members, whose support is the
+    fundamental circuit.
+    """
+
+    def __init__(self, cols: Sequence[tuple[int, ...]], members: Sequence[int]):
+        self.cols = cols
+        self.width = len(cols[0])
+        self.echelon = IntEchelon()
+        for i in members:
+            self.add(i)
+
+    def _tagged(self, i: int) -> tuple[int, ...]:
+        tag = [0] * len(self.cols)
+        tag[i] = 1
+        return self.cols[i] + tuple(tag)
+
+    def add(self, i: int):
+        self.echelon = self.echelon.inserted(self._tagged(i))
+
+    def circuit(self, x: int) -> Optional[list[int]]:
+        """None when x is independent of the members; else the members x's circuit holds."""
+        v = self.echelon.reduced(self._tagged(x))
+        if any(v[: self.width]):
+            return None
+        return [i for i, c in enumerate(v[self.width :]) if c and i != x]
+
+
+def _augmenting_path(source: int, side: Sequence[int], reach) -> Optional[list[tuple[int, int]]]:
+    """Shortest augmenting path from ``source`` in the exchange graph.
+
+    ``side[x]`` is 0 (independent in M_V) or 1 (in M_E) for a placed point
+    and -1 for an unplaced one, which may enter either side; a placed point
+    may only move to the other side. ``reach(x, k)`` is None when x can
+    enter side k outright, else the members of side k that x would
+    displace. The path comes back as (point, side it enters) pairs; a
+    shortest path has no shortcut, so moving every point on it keeps both
+    sides independent (Edmonds' matroid partition, Cunningham 1986).
+    """
+    parent = {source: None}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for k in (0, 1) if side[x] < 0 else (1 - side[x],):
+            displaced = reach(x, k)
+            if displaced is None:
+                path = [(x, k)]
+                while parent[x] is not None:
+                    x, k = parent[x]
+                    path.append((x, k))
+                return path
+            for y in displaced:
+                if y not in parent:
+                    parent[y] = (x, k)
+                    queue.append(y)
+    return None
+
+
+def _partition(vcols, ecols) -> Optional[tuple[list[int], list[_Circuits]]]:
+    """A split of all points into an M_V- and an M_E-independent set.
+
+    Points are placed in index order, greedily when possible and otherwise
+    along a shortest augmenting path. Returns each point's side and the
+    circuit oracle of each side, or None when some point cannot be placed,
+    which means some subset D has rank_V(D) + rank_E(D) < |D|.
+    """
+    cols = (vcols, ecols)
+    n = len(vcols)
+    side = [-1] * n
+    spans = [_Circuits(cols[k], []) for k in (0, 1)]
+    for s in range(n):
+        path = _augmenting_path(s, side, lambda x, k: spans[k].circuit(x))
+        if path is None:
+            return None
+        for x, k in path:
+            side[x] = k
+        if len(path) == 1:
+            spans[path[0][1]].add(s)
+        else:
+            spans = [_Circuits(cols[k], [i for i in range(n) if side[i] == k]) for k in (0, 1)]
+    return side, spans
+
+
+def _split_with_copy(e: int, side: Sequence[int], displaced: Sequence[Optional[list[int]]]):
+    """Split of S + e' for e' a parallel copy of e, or None if there is none.
+
+    ``side`` partitions S and ``displaced[x]`` is x's exchange-graph edge
+    list on the side it is not on. The copy e' has e's edges there; its
+    edge e' -> e on e's own side is left out, as e' -> e -> y is never
+    shorter than e' -> y. With e' read as e, returns (A, B) with A
+    independent in M_V, B in M_E, A | B = S and e in both.
+    """
+    n = len(side)
+    moved = list(side) + [side[e]]  # e' starts on e's side, so it may only cross over
+    path = _augmenting_path(n, moved, lambda x, k: displaced[e if x == n else x])
+    if path is None:
+        return None
+    for x, k in path:
+        moved[x] = k
+    return tuple(
+        tuple(i for i in range(n) if moved[i] == k or (i == e and moved[n] == k)) for k in (0, 1)
+    )
+
+
+def _rank(cols: Sequence[tuple[int, ...]]) -> int:
+    """Exact rank of integer columns; no column can add to a full rank."""
+    echelon = IntEchelon()
+    for col in cols:
+        echelon = echelon.inserted(col)
+        if echelon.rank == len(col):
+            break
+    return echelon.rank
+
+
+def _obstruction_splits(vcols, ecols) -> Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """One split per point proving the obstructed verdict, or None if it fails.
+
+    For every e, S + e' splits into an M_V- and an M_E-independent set
+    exactly when rank_V(D) + rank_E(D) > |D| for every D containing e. The
+    exchange graph of the split of S is built once, one fundamental circuit
+    per point, and each e costs one breadth-first search on it.
+    """
+    partition = _partition(vcols, ecols)
+    if partition is None:
+        return None
+    side, spans = partition
+    displaced = [spans[1 - k].circuit(x) for x, k in enumerate(side)]
+    splits = []
+    for e in range(len(side)):
+        split = _split_with_copy(e, side, displaced)
+        if split is None:
+            return None
+        splits.append(split)
+    return splits
+
+
+def _check_splits(vcols, ecols, splits):
+    """Raise unless every point e has a split (A, B) with A | B = S, e in
+    both, and A and B independent by exact rank."""
+    n = len(vcols)
+    if len(splits) != n:
+        raise AssertionError(f"matroid partition gave {len(splits)} splits for {n} points; this is a bug")
+    everything = set(range(n))
+    for e, (a, b) in enumerate(splits):
+        if not (
+            e in a
+            and e in b
+            and set(a) | set(b) == everything
+            and _rank([vcols[i] for i in a]) == len(a)
+            and _rank([ecols[i] for i in b]) == len(b)
+        ):
+            raise AssertionError(
+                f"matroid partition split for point {e} fails its exact rank check; this is a bug"
+            )
+
+
+def corollary_check(problem: ObstructionProblem) -> CorollaryVerdict:
+    """Subset rank test: obstructed iff no nonempty D has rank_V(D) + rank_E(D) <= |D|.
+
+    The verdict comes from matroid partition. With f(D) = rank_V(D) +
+    rank_E(D) - |D|, f(S) <= 0 makes the full set S pass; as the ranks
+    are at most N and g, that holds whenever n >= g + N. Otherwise one
+    split (A, B) of S per point e, with A independent in M_V, B in M_E,
+    A | B = S and e in both, gives f(D) >= |D & A| + |D & B| - |D| =
+    |D & A & B| >= 1 for every D containing e. Each split is checked with
+    two exact ranks before the obstructed verdict is returned. An
+    inconclusive verdict is reported with the (|D|, lex)-minimal witness
+    from the subset scan, which alone is capped at 24 points.
+    """
+    n = problem.n_points
+    vcols = [integerize(p.deriv) for p in problem.points]
+    ecols = [integerize(p.delta) for p in problem.points]
+    if n < problem.genus + problem.ambient_dim and _rank(vcols) + _rank(ecols) > n:
+        splits = _obstruction_splits(vcols, ecols)
+        if splits is not None:
+            _check_splits(vcols, ecols, splits)
+            return CorollaryVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, None)
+    return CorollaryVerdict(Verdict.INCONCLUSIVE, _minimal_witness(problem, vcols, ecols))
 
 
 def kernel_to_witness_d(

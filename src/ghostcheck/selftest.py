@@ -80,16 +80,16 @@ def brute_force_passing_subsets(problem: ObstructionProblem) -> list[tuple[int, 
 def oracle_chain_restrictions(
     component: LaurentPoly, m: int
 ) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """Level restrictions for constant-free expansions, by chart substitution.
+    """Level restrictions of the expansion, by chart substitution.
 
-    With every split-off constant zero, G_l = G / t^l. Chain component j
+    G_l = (G - a_1 t - ... - a_(l-1) t^(l-1)) / t^l. Chain component j
     (1..m, with m the ghost branch) is {z = 0} in chart j-1, where t = zw,
     so the restriction of G_l to it is the z-degree-l part of the chart's
-    pullback of G with its w-exponents shifted by -l; it is read for every
-    level l <= j. Valid when all split-off constants vanish, which holds on
-    the admissible corpus (every monomial has a >= 1). The pullback goes
-    through ``laurent.substitute``, never through the exponent rule the
-    engine uses.
+    pullback of G alone, with its w-exponents shifted by -l: each a_k t^k
+    pulls back to z-degree k < l, and the lower z-degrees cancel wherever
+    the expansion reaches level l. It is read for every level l <= j. The
+    pullback goes through ``laurent.substitute``, never through the
+    exponent rule the engine uses.
     """
     out: dict[tuple[int, int], dict[int, Fraction]] = {}
     for j in range(1, m + 1):
@@ -99,8 +99,13 @@ def oracle_chain_restrictions(
     return out
 
 
-def _admissible_ghost_map(rng: random.Random, n_coords: int) -> list[LaurentPoly]:
+def _admissible_ghost_map(rng: random.Random, n_coords: int, m: int) -> list[LaurentPoly]:
+    """Random maps whose expansion passes every level: x^a t^c with a >= 1
+    (the pole at each node), pure t^c with c >= 1 (a constant split off at
+    level c on every deeper component) and y^b t^m (w^b on the ghost branch
+    at level m)."""
     monomials = [(a, 0, c) for a in range(1, 5) for c in range(0, 5 - a)]
+    monomials += [(0, 0, c) for c in range(1, 5)] + [(0, b, m) for b in (1, 2)]
     comps = []
     for _ in range(n_coords):
         terms = {}
@@ -225,7 +230,7 @@ def check_residue_leading_term() -> tuple[bool, str]:
     checked = 0
     for m in range(1, 6):
         for _ in range(20):
-            components = _admissible_ghost_map(rng, rng.randint(1, 3))
+            components = _admissible_ghost_map(rng, rng.randint(1, 3), m)
             report = verify_residue_theorem(components, m)
             if not report.passed:
                 return False, f"m={m}: {report.failures[0]}"

@@ -107,6 +107,16 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", str(path))
         assert_bad_input(code, out, err)
 
+    def test_obstructed_verdict_above_the_subset_cap(self, capsys, tmp_path):
+        # generic g = N = 16, n = 30: every D has rank_V(D) + rank_E(D) > |D|,
+        # so the verdict needs no witness search and the cap does not apply
+        path = tmp_path / "thirty.json"
+        path.write_text(dump_json({"version": 1, **problem_to_json(random_instance(5, 16, 16, 30))}))
+        code, out, err = run_cli(capsys, "check", str(path), "--json")
+        assert code == EXIT_OK and err == ""
+        corollary = json.loads(out)["components"][0]["corollary"]
+        assert corollary == {"verdict": "NotEventuallySmoothable", "witness_D": None}
+
 
 def assert_bad_input(code, out, err):
     """Exit 2, nothing on stdout, exactly one ``error:`` line on stderr."""

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostcheck.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from ghostcheck.jsonio import MAX_LOCAL_M
+from ghostcheck.jsonio import MAX_LOCAL_COORDS, MAX_LOCAL_M, MAX_LOCAL_TERMS
 
 HYPER = {"type": "hyperelliptic", "genus": 2, "f": ["1", "2", "0", "0", "0", "1"]}
 
@@ -184,6 +184,36 @@ def test_huge_m_is_bad_input(tmp_path, name, m):
     assert run(SEEDS[name][0] + [str(path)]) == (
         EXIT_BAD_INPUT, "", f"error: local_model: m = {m} exceeds the limit {MAX_LOCAL_M}\n"
     )
+
+
+TERM = {"exps": [1, 0, 0], "coeff": "1"}
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ([[TERM]] * (MAX_LOCAL_COORDS + 1),
+         f"G has {MAX_LOCAL_COORDS + 1} coordinates, over the limit {MAX_LOCAL_COORDS}"),
+        ([[TERM]] * 10**4, f"G has 10000 coordinates, over the limit {MAX_LOCAL_COORDS}"),
+        ([[TERM], [TERM] * (MAX_LOCAL_TERMS + 1)],
+         f"G[1] has {MAX_LOCAL_TERMS + 1} terms, over the limit {MAX_LOCAL_TERMS}"),
+        ([[TERM] * 10**5], f"G[0] has 100000 terms, over the limit {MAX_LOCAL_TERMS}"),
+    ],
+    ids=["coords-17", "coords-10^4", "terms-65", "terms-10^5"],
+)
+@pytest.mark.parametrize("command", [["localmodel"], ["localmodel", "--json"]])
+def test_oversized_local_model_is_bad_input(tmp_path, command, coords, message):
+    path = tmp_path / "oversized.json"
+    write(path, {"version": 1, "local_model": {"m": 3, "G": coords}})
+    assert run(command + [str(path)]) == (EXIT_BAD_INPUT, "", f"error: local_model: {message}\n")
+
+
+def test_local_model_at_the_limits_is_read(tmp_path):
+    coords = [[{"exps": [1, 0, c], "coeff": "1"} for c in range(MAX_LOCAL_TERMS)]] * MAX_LOCAL_COORDS
+    path = tmp_path / "at_limits.json"
+    write(path, {"version": 1, "local_model": {"m": 3, "G": coords}})
+    code, out, err = run(["localmodel", str(path)])
+    assert (code, err) == (EXIT_OK, "") and out.endswith("verdict: pass\n")
 
 
 def test_missing_field_names_its_location_once(tmp_path):

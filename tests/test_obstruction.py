@@ -4,11 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ghostcheck.obstruction as obstruction_module
+from ghostcheck.cli import EXIT_INTERNAL, main
 from ghostcheck.exact import QMatrix
 from ghostcheck.factory import random_instance
+from ghostcheck.jsonio import dump_json, problem_to_json
 from ghostcheck.obstruction import (
     AttachmentColumn,
+    CorollaryVerdict,
     NotAKernelVector,
     ObstructionProblem,
     TooManyPoints,
@@ -157,6 +163,72 @@ class TestCorollaryCheck:
             assert verdict.witness_D == ordered[0]
             checked += 1
         assert checked > 10
+
+
+@st.composite
+def degenerate_problems(draw):
+    """g, N <= 4 and n <= 9, with zero, repeated and proportional columns.
+
+    n stops one above g + N, as every larger problem passes as a whole, and
+    fresh columns are drawn most often, so that a fair share is obstructed.
+    """
+    genus, ambient = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(9, genus + ambient + 1)))
+
+    def column(dim, earlier):
+        kinds = ["zero"] + ["fresh"] * 6 + (["copy"] if earlier else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return [0] * dim
+        if kind == "copy":
+            scale = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+            return [scale * v for v in draw(st.sampled_from(earlier))]
+        return draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+
+    deltas, derivs = [], []
+    for _ in range(n):
+        deltas.append(column(genus, deltas))
+        derivs.append(column(ambient, derivs))
+    return problem(genus, ambient, list(zip(deltas, derivs)))
+
+
+OBSTRUCTED_30 = random_instance(5, 16, 16, 30)  # generic, so every D has f(D) >= 2
+
+
+class TestMatroidPartitionVerdict:
+    @settings(max_examples=400, deadline=None)
+    @given(degenerate_problems())
+    def test_matches_brute_force_enumeration(self, p):
+        reference = next(iter(brute_force_passing_subsets(p)), None)
+        verdict = Verdict.NOT_EVENTUALLY_SMOOTHABLE if reference is None else Verdict.INCONCLUSIVE
+        assert corollary_check(p) == CorollaryVerdict(verdict, reference)
+
+    def test_obstructed_problems_skip_the_witness_search(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the witness search ran on an obstructed problem")
+
+        rng = random.Random(43)
+        obstructed = [OBSTRUCTED_30]
+        while len(obstructed) < 30:
+            p = random_instance(rng.getrandbits(32), rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 6))
+            if not brute_force_passing_subsets(p):
+                obstructed.append(p)
+        monkeypatch.setattr(obstruction_module, "_first_witness_of_size", forbidden)
+        for p in obstructed:
+            assert corollary_check(p) == CorollaryVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, None)
+
+    def test_corrupted_split_is_an_internal_error(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "thirty.json"
+        path.write_text(dump_json({"version": 1, **problem_to_json(OBSTRUCTED_30)}))
+
+        def dependent_side(e, side, displaced):
+            return tuple(range(len(side))), (e,)  # 30 derivatives in a 16-dimensional space
+
+        monkeypatch.setattr(obstruction_module, "_split_with_copy", dependent_side)
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INTERNAL and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal error: AssertionError: ")
 
 
 class TestKernelToWitness:
