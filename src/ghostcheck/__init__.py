@@ -16,7 +16,7 @@ from .factory import (
     dim_stratum,
     random_instance,
 )
-from .laurent import LaurentPoly, normal_form_xyt, restrict_to_axis, substitute
+from .laurent import LaurentPoly, normal_form_xyt, substitute
 from .localmodel import (
     chart,
     expand_ghost,
@@ -60,7 +60,6 @@ __all__ = [
     "random_instance",
     "rat",
     "rat_to_str",
-    "restrict_to_axis",
     "substitute",
     "theorem_check",
     "verify_chart_relations",

@@ -56,8 +56,8 @@ def _thread_count() -> int:
     return int(raw)
 
 
-def _emit(text: str, out=None):
-    (out or sys.stdout).write(text)
+def _emit(text: str):
+    sys.stdout.write(text)
 
 
 def cmd_check(args) -> int:
@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    problem = build_line_star_instance(args.N, args.h, args.model, seed=args.seed)
+    problem = build_line_star_instance(args.N, args.h, args.model)
     payload = dump_json({"version": 1, **problem_to_json(problem)})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="hyperelliptic",
         help="ghost curve model",
     )
-    p_gen.add_argument("--seed", type=int, default=0, help="seed for resampling fallback")
+    p_gen.add_argument(
+        "--seed", type=int, default=0, help="has no effect (line stars are built without sampling)"
+    )
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
     p_gen.add_argument("--json", action="store_true", help="machine-readable output only")
     p_gen.set_defaults(func=cmd_generate)

@@ -1,8 +1,10 @@
 """Ghost-curve models and their evaluation covectors.
 
 Each model fixes a basis of the global sections of its dualizing sheaf and a
-local coordinate at every admissible point, and produces the vector of basis
-sections evaluated at a point against that coordinate. Conventions:
+local coordinate at every admissible point, and produces, through
+``ev_vector``, the vector of basis sections evaluated at one point against
+that coordinate. The models evaluate one point at a time; the rank of
+several points is taken by their callers. Conventions:
 
 - hyperelliptic y^2 = f(x), genus g: basis x^(a-1) dx / y for a = 1..g,
   coordinate x - x0 at a point (x0, y0) with y0 != 0;
@@ -37,10 +39,6 @@ class WeierstrassPoint(CurveModelError):
 
 
 class PointAtNode(CurveModelError):
-    pass
-
-
-class DuplicatePoint(CurveModelError):
     pass
 
 
@@ -143,15 +141,6 @@ class HyperellipticModel:
             raise CurveModelError("coordinate scale must be nonzero")
         return tuple(x0 ** (a - 1) / (y0 * s) for a in range(1, self.genus + 1))
 
-    def ev_matrix(self, points: Sequence[Sequence[RatLike]]) -> QMatrix:
-        seen = set()
-        for p in points:
-            key = (rat(p[0]), rat(p[1]))
-            if key in seen:
-                raise DuplicatePoint(f"point {key} listed twice")
-            seen.add(key)
-        return QMatrix.from_columns([self.ev_vector(p) for p in points])
-
 
 @dataclass(frozen=True)
 class NodalRationalModel:
@@ -194,12 +183,6 @@ class NodalRationalModel:
             (1 / (value - a) - 1 / (value - b)) / s for a, b in self.node_pairs
         )
 
-    def ev_matrix(self, points: Sequence[RatLike]) -> QMatrix:
-        values = [rat(p) for p in points]
-        if len(set(values)) != len(values):
-            raise DuplicatePoint("parameters must be pairwise distinct")
-        return QMatrix.from_columns([self.ev_vector(p) for p in values])
-
 
 @dataclass(frozen=True)
 class RawEvaluationModel:
@@ -222,11 +205,6 @@ class RawEvaluationModel:
         if not 0 <= index < self.matrix.cols:
             raise CurveModelError(f"point index {index} out of range")
         return self.matrix.column(index)
-
-    def ev_matrix(self, indices: Sequence[int]) -> QMatrix:
-        if len(set(indices)) != len(indices):
-            raise DuplicatePoint("indices must be pairwise distinct")
-        return QMatrix.from_columns([self.ev_vector(i) for i in indices])
 
 
 GhostCurveModel = Union[HyperellipticModel, NodalRationalModel, RawEvaluationModel]

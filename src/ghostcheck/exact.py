@@ -7,12 +7,15 @@ conditions, and a single rounding error would flip them.
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
 denominator, structural equality), serialized as ``"a/b"`` or ``"a"``.
 
-One fraction-free integer echelon, ``IntEchelon``, does every elimination:
-``QMatrix.rank`` and ``QMatrix.kernel_basis`` scale each row to integers and
-insert it, the subset scan in ``ghostcheck.obstruction`` grows one
-echelon point by point, and its matroid partition reads fundamental
-circuits off ``IntEchelon.reduced``. No ``Fraction`` is divided during
-elimination; only the kernel's back-substitution returns to the rationals.
+One fraction-free integer echelon, ``IntEchelon``, does every elimination,
+and ``IntEchelon.of`` is the one routine that inserts vectors until the
+rank is full: ``QMatrix.rank`` and ``QMatrix.kernel_basis`` call it on the
+rows scaled to integers, and ``ghostcheck.obstruction`` and
+``ghostcheck.factory`` call it on integerized columns. The subset scan
+grows one echelon point by point with ``IntEchelon.inserted``, and the
+matroid partition reads fundamental circuits off ``IntEchelon.reduced``.
+No ``Fraction`` is divided during elimination; only the kernel's
+back-substitution returns to the rationals.
 """
 
 from __future__ import annotations
@@ -96,6 +99,20 @@ class IntEchelon:
     def __init__(self, rows=(), pivots=()):
         self.rows = list(rows)
         self.pivots = list(pivots)
+
+    @classmethod
+    def of(cls, vectors: Iterable[Sequence[int]]) -> "IntEchelon":
+        """Echelon of ``vectors``, inserted in order.
+
+        Insertion stops once the rank equals the vectors' length: no later
+        vector can change a full-rank span, so the rest are never read.
+        """
+        echelon = cls()
+        for vec in vectors:
+            echelon = echelon.inserted(vec)
+            if echelon.rank == len(vec):
+                break
+        return echelon
 
     @property
     def rank(self) -> int:
@@ -198,17 +215,8 @@ class QMatrix:
     # -- elimination ----------------------------------------------------
 
     def _echelon(self) -> IntEchelon:
-        """Echelon of the row space; scaling a row keeps the rank and the kernel.
-
-        Rows are inserted in order until the rank reaches the column count,
-        after which no later row can change the row space.
-        """
-        echelon = IntEchelon()
-        for row in self.entries:
-            echelon = echelon.inserted(integerize(row))
-            if echelon.rank == self.cols:
-                break
-        return echelon
+        """Echelon of the row space; scaling a row keeps the rank and the kernel."""
+        return IntEchelon.of(integerize(row) for row in self.entries)
 
     def rank(self) -> int:
         """Exact rank over Q."""

@@ -1,5 +1,12 @@
 """Instance construction: dimension counts, the line-star example family,
-and seeded random problems for property testing."""
+and seeded random problems for property testing.
+
+Line-star point groups are written down in closed form, never searched
+for: each model's groups have full evaluation rank by a lemma stated where
+they are built, and ``build_line_star_instance`` checks that rank once per
+group with ``IntEchelon.of``, raising ``AssertionError`` (a bug) if it
+fails.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import HyperellipticModel, NodalRationalModel
-from .exact import rat_vector
-from .obstruction import AttachmentColumn, ObstructionProblem
+from .exact import IntEchelon, integerize, rat_vector
+from .obstruction import MAX_SUBSET_POINTS, AttachmentColumn, ObstructionProblem
 
 
 class FactoryError(ValueError):
@@ -128,7 +135,8 @@ def _hyperelliptic_star_points(
     Groups 2i-1 and 2i share a block of x-values with opposite y-signs, so
     the whole collection stays pairwise distinct; the model guarantees
     rational points over x = 1..2h+2 only, which bounds ceil(N/2) blocks of
-    h x-values each.
+    h x-values each. A group's covectors x0^(a-1) / y0 with one y0 form a
+    scaled Vandermonde matrix in h distinct x-values, so its rank is h.
     """
     blocks_needed = (big_n + 1) // 2
     if blocks_needed * h > 2 * h + 2:
@@ -142,56 +150,30 @@ def _hyperelliptic_star_points(
         block = i // 2
         sign = 1 if i % 2 == 0 else -1
         xs = range(block * h + 1, block * h + h + 1)
-        points = [(Fraction(x), Fraction(sign * k)) for x in xs]
-        groups.append(points)
-    for points in groups:
-        if model.ev_matrix(points).rank() != h:
-            raise ModelConstructionError("group evaluation matrix is rank deficient")
+        groups.append([(Fraction(x), Fraction(sign * k)) for x in xs])
     return model, groups
 
 
-def _nodal_star_points(
-    big_n: int, h: int, seed: int
-) -> tuple[NodalRationalModel, list[list[Fraction]]]:
-    """N groups of h distinct parameters with full per-group evaluation rank.
+def _nodal_star_points(big_n: int, h: int) -> tuple[NodalRationalModel, list[list[Fraction]]]:
+    """N groups of h parameters: group i is the h consecutive integers from 2h + i h.
 
-    Parameters are taken from 2h upward (the first 2h integers are node
-    preimages); a rank-deficient group advances to fresh values, with a
-    seeded random fallback after a bounded number of tries.
+    The nodes glue 2j to 2j+1 for j < h, so every parameter p lies past every
+    node preimage. Each group has full evaluation rank: entry j of p's
+    covector is 1/(p - 2j) - 1/(p - 2j - 1) = -int_{2j}^{2j+1} (p - s)^-2 ds,
+    so the group's h x h determinant is, up to sign, the integral over the
+    box s_j in [2j, 2j+1] of det[(p_i - s_j)^-2]. By Borchardt's identity
+    (1855) that integrand is det[1/(p_i - s_j)] * per[1/(p_i - s_j)]. With
+    distinct p_i, distinct s_j and every p_i > 2h - 1 >= s_j, the Cauchy
+    determinant never vanishes and keeps one sign, and the permanent is
+    positive, so the integral is nonzero.
     """
     model = NodalRationalModel(h, [(2 * j, 2 * j + 1) for j in range(h)])
-    rng = random.Random(seed)
-    groups: list[list[Fraction]] = []
-    taken: set[Fraction] = set()
-    next_value = 2 * h
-    for _ in range(big_n):
-        for _attempt in range(64):
-            candidate = [Fraction(next_value + offset) for offset in range(h)]
-            next_value += h
-            if taken & set(candidate):
-                continue
-            if model.ev_matrix(candidate).rank() == h:
-                groups.append(candidate)
-                taken.update(candidate)
-                break
-        else:
-            for _attempt in range(256):
-                candidate = sorted(
-                    Fraction(rng.randint(2 * h, 10**6)) for _ in range(h)
-                )
-                if len(set(candidate)) != h or taken & set(candidate):
-                    continue
-                if model.ev_matrix(candidate).rank() == h:
-                    groups.append(candidate)
-                    taken.update(candidate)
-                    break
-            else:
-                raise ModelConstructionError("no full-rank point group found")
+    groups = [[Fraction(2 * h + i * h + offset) for offset in range(h)] for i in range(big_n)]
     return model, groups
 
 
 def build_line_star_instance(
-    big_n: int, h: int, model_kind: str = "hyperelliptic", seed: int = 0
+    big_n: int, h: int, model_kind: str = "hyperelliptic"
 ) -> ObstructionProblem:
     """Ghost curve of genus h attached to N concurrent lines, h points each.
 
@@ -200,26 +182,36 @@ def build_line_star_instance(
     matrix has rank h, so the obstruction matrix is square of full rank
     n = N h and the injectivity test always fires. The subset rank test
     never does: the set of all points satisfies the inequality because
-    N + h <= N h for N, h >= 2.
+    N + h <= N h for N, h >= 2. That makes the witness search run on every
+    star, so a star of more than ``MAX_SUBSET_POINTS`` points, which it
+    could never finish, is refused.
     """
     if big_n < 2 or h < 2:
         raise FactoryError("the line-star family needs N >= 2 and h >= 2")
-    model, groups = _line_star_geometry(big_n, h, model_kind, seed)
+    if big_n * h > MAX_SUBSET_POINTS:
+        raise FactoryError(
+            f"a line star with N = {big_n}, h = {h} has {big_n * h} points, "
+            f"over the limit {MAX_SUBSET_POINTS}"
+        )
+    model, groups = _line_star_geometry(big_n, h, model_kind)
     columns = []
     for i, points in enumerate(groups):
         deriv = [Fraction(0)] * big_n
         deriv[i] = Fraction(1)
-        for p in points:
-            delta = model.ev_vector(p)
-            columns.append(AttachmentColumn(delta=delta, deriv=deriv))
+        deltas = [model.ev_vector(p) for p in points]
+        if IntEchelon.of(integerize(delta) for delta in deltas).rank != h:
+            raise AssertionError(
+                f"line-star group {i} has evaluation rank below {h}; this is a bug"
+            )
+        columns.extend(AttachmentColumn(delta=delta, deriv=deriv) for delta in deltas)
     return ObstructionProblem(genus=h, ambient_dim=big_n, points=columns)
 
 
-def _line_star_geometry(big_n: int, h: int, model_kind: str, seed: int):
+def _line_star_geometry(big_n: int, h: int, model_kind: str):
     if model_kind == "hyperelliptic":
         return _hyperelliptic_star_points(big_n, h)
     if model_kind == "nodal_rational":
-        return _nodal_star_points(big_n, h, seed)
+        return _nodal_star_points(big_n, h)
     raise FactoryError(f"unknown model kind {model_kind!r}")
 
 

@@ -73,6 +73,13 @@ def _get_list(mapping: Mapping, key: str, where: str) -> list:
 # -- curve models -------------------------------------------------------------
 
 
+def _node_pair(value: Any, where: str) -> list:
+    pair = _list(value, where)
+    plural = "" if len(pair) == 1 else "s"
+    _require(len(pair) == 2, f"{where}: expected a pair [a, b], got {len(pair)} value{plural}")
+    return pair
+
+
 def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveModel:
     kind = _get(data, "type", where)
     try:
@@ -82,7 +89,7 @@ def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveMode
         if kind == "nodal_rational":
             nodes = _get_list(data, "nodes", where)
             return NodalRationalModel(
-                genus, [_list(pair, f"{where}.nodes[{k}]") for k, pair in enumerate(nodes)]
+                genus, [_node_pair(pair, f"{where}.nodes[{k}]") for k, pair in enumerate(nodes)]
             )
         if kind == "raw":
             rows = _get_list(data, "ev_matrix", where)

@@ -144,11 +144,14 @@ def theorem_check(problem: ObstructionProblem) -> TheoremVerdict:
 
 
 def subset_ranks(problem: ObstructionProblem, subset: Sequence[int]) -> tuple[int, int]:
-    """(rank of deriv columns, rank of delta columns) over the given indices."""
-    indices = list(subset)
-    deriv = QMatrix.from_columns([problem.points[i].deriv for i in indices])
-    delta = QMatrix.from_columns([problem.points[i].delta for i in indices])
-    return deriv.rank(), delta.rank()
+    """(rank of deriv columns, rank of delta columns) over the given nonempty indices."""
+    points = [problem.points[i] for i in subset]
+    if not points:
+        raise ValueError("need at least one column")
+    return (
+        IntEchelon.of(integerize(p.deriv) for p in points).rank,
+        IntEchelon.of(integerize(p.delta) for p in points).rank,
+    )
 
 
 def rank_inequality_holds(problem: ObstructionProblem, subset: Sequence[int]) -> bool:
@@ -316,16 +319,6 @@ def _split_with_copy(e: int, side: Sequence[int], displaced: Sequence[Optional[l
     )
 
 
-def _rank(cols: Sequence[tuple[int, ...]]) -> int:
-    """Exact rank of integer columns; no column can add to a full rank."""
-    echelon = IntEchelon()
-    for col in cols:
-        echelon = echelon.inserted(col)
-        if echelon.rank == len(col):
-            break
-    return echelon.rank
-
-
 def _obstruction_splits(vcols, ecols) -> Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """One split per point proving the obstructed verdict, or None if it fails.
 
@@ -360,8 +353,8 @@ def _check_splits(vcols, ecols, splits):
             e in a
             and e in b
             and set(a) | set(b) == everything
-            and _rank([vcols[i] for i in a]) == len(a)
-            and _rank([ecols[i] for i in b]) == len(b)
+            and IntEchelon.of(vcols[i] for i in a).rank == len(a)
+            and IntEchelon.of(ecols[i] for i in b).rank == len(b)
         ):
             raise AssertionError(
                 f"matroid partition split for point {e} fails its exact rank check; this is a bug"
@@ -384,7 +377,9 @@ def corollary_check(problem: ObstructionProblem) -> CorollaryVerdict:
     n = problem.n_points
     vcols = [integerize(p.deriv) for p in problem.points]
     ecols = [integerize(p.delta) for p in problem.points]
-    if n < problem.genus + problem.ambient_dim and _rank(vcols) + _rank(ecols) > n:
+    if n < problem.genus + problem.ambient_dim and (
+        IntEchelon.of(vcols).rank + IntEchelon.of(ecols).rank > n
+    ):
         splits = _obstruction_splits(vcols, ecols)
         if splits is not None:
             _check_splits(vcols, ecols, splits)

@@ -176,6 +176,20 @@ class TestStrictRationals:
         code, out, err = run_cli(capsys, command, str(path))
         assert_bad_input(code, out, err)
 
+    @pytest.mark.parametrize(
+        "pair, count",
+        [(["1"], "1 value"), (["0", "1", "2"], "3 values")],
+        ids=["node-of-one-value", "node-of-three-values"],
+    )
+    def test_node_entry_that_is_not_a_pair(self, capsys, tmp_path, pair, count):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "curve_model": {**NODAL, "nodes": [pair]},
+                                    "attachments": [{"p": "2"}], "derivs": [["1"]]}))
+        assert run_cli(capsys, "check", str(path)) == (
+            EXIT_BAD_INPUT, "",
+            f"error: problem.curve_model.nodes[0]: expected a pair [a, b], got {count}\n",
+        )
+
 
 class TestGenerate:
     def test_written_file_checks_clean(self, capsys, tmp_path):
@@ -201,6 +215,31 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--N", "5", "--h", "4")
         assert code == EXIT_BAD_INPUT
         assert "error" in err
+
+    @pytest.mark.parametrize("model", ["hyperelliptic", "nodal_rational"])
+    def test_star_above_the_subset_cap_is_bad_input(self, capsys, model):
+        assert run_cli(capsys, "generate", "--N", "2", "--h", "80", "--model", model) == (
+            EXIT_BAD_INPUT, "", "error: a line star with N = 2, h = 80 has 160 points, over the limit 24\n"
+        )
+
+    def test_seed_has_no_effect(self, capsys):
+        plain = run_cli(capsys, "generate", "--N", "3", "--h", "2", "--model", "nodal_rational")
+        seeded = run_cli(capsys, "generate", "--N", "3", "--h", "2", "--model", "nodal_rational",
+                         "--seed", "7")
+        assert seeded == plain and plain[0] == EXIT_OK
+
+    def test_rank_deficient_group_is_a_bug(self, capsys, monkeypatch):
+        import ghostcheck.factory as factory_module
+
+        def repeated_parameter(big_n, h):
+            model = factory_module.NodalRationalModel(h, [(0, 1), (2, 3)])
+            return model, [[5, 5], [6, 7]]
+
+        monkeypatch.setattr(factory_module, "_nodal_star_points", repeated_parameter)
+        assert run_cli(capsys, "generate", "--N", "2", "--h", "2", "--model", "nodal_rational") == (
+            EXIT_INTERNAL, "",
+            "internal error: AssertionError: line-star group 0 has evaluation rank below 2; this is a bug\n",
+        )
 
 
 class TestDims:

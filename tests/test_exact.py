@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostcheck.exact import QMatrix, integer, integerize, rat, rat_to_str
+from ghostcheck.exact import IntEchelon, QMatrix, integer, integerize, rat, rat_to_str
 from matrix_oracle import identity, matmul, oracle_kernel_basis, oracle_rank, transpose, zeros
 
 
@@ -90,6 +90,21 @@ class TestRat:
         assert integerize((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert integerize((Fraction(0), Fraction(0))) == (0, 0)
         assert integerize((Fraction(4), Fraction(6))) == (2, 3)
+
+
+class TestIntEchelonOf:
+    def test_stops_reading_at_full_rank(self):
+        def vectors():
+            yield (0, 0)
+            yield (2, 4)
+            yield (1, 3)
+            raise AssertionError("read past full rank")
+
+        assert IntEchelon.of(vectors()).rank == 2
+
+    def test_deficient_and_empty(self):
+        assert IntEchelon.of([(1, 2, 3), (2, 4, 6), (0, 0, 0)]).rank == 1
+        assert IntEchelon.of([]).rank == 0
 
 
 class TestQMatrix:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from ghostcheck.curves import NodalRationalModel
+from ghostcheck.exact import QMatrix
 from ghostcheck.factory import (
     FactoryError,
     ModelConstructionError,
@@ -15,11 +17,13 @@ from ghostcheck.factory import (
     random_instance,
 )
 from ghostcheck.obstruction import (
+    MAX_SUBSET_POINTS,
     Verdict,
     corollary_check,
     obstruction_matrix,
     theorem_check,
 )
+from matrix_oracle import oracle_rank
 
 
 class TestDimModuli:
@@ -143,6 +147,30 @@ class TestLineStarInstance:
             build_line_star_instance(5, 4, "hyperelliptic")
         # the nodal model has no such limit
         assert build_line_star_instance(5, 4, "nodal_rational").n_points == 20
+
+    def test_star_size_bound(self):
+        assert build_line_star_instance(2, 12, "nodal_rational").n_points == MAX_SUBSET_POINTS
+        with pytest.raises(FactoryError) as info:
+            build_line_star_instance(5, 5, "nodal_rational")
+        assert str(info.value) == "a line star with N = 5, h = 5 has 25 points, over the limit 24"
+
+    def test_nodal_groups_are_consecutive_integers(self):
+        # group i is the h consecutive parameters from 2h + i h, so point k sits at 2h + k
+        big_n, h = 4, 5
+        problem = build_line_star_instance(big_n, h, "nodal_rational")
+        model = NodalRationalModel(h, [(2 * j, 2 * j + 1) for j in range(h)])
+        assert [p.delta for p in problem.points] == [
+            model.ev_vector(2 * h + k) for k in range(big_n * h)
+        ]
+
+    def test_nodal_rank_lemma(self):
+        # any h distinct integers >= 2h have evaluation rank h on the star's nodal model
+        rng = random.Random(2718)
+        for _ in range(150):
+            h = rng.randint(1, 8)
+            model = NodalRationalModel(h, [(2 * j, 2 * j + 1) for j in range(h)])
+            params = rng.sample(range(2 * h, 2 * h + rng.choice((h, 40, 10**6))), h)
+            assert oracle_rank(QMatrix.from_columns([model.ev_vector(p) for p in params])) == h
 
 
 class TestRandomInstance:

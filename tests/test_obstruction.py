@@ -27,6 +27,7 @@ from ghostcheck.obstruction import (
     theorem_check,
 )
 from ghostcheck.selftest import brute_force_passing_subsets
+from matrix_oracle import oracle_rank
 
 
 def problem(genus, ambient, columns):
@@ -229,6 +230,45 @@ class TestMatroidPartitionVerdict:
         out, err = capsys.readouterr()
         assert code == EXIT_INTERNAL and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("internal error: AssertionError: ")
+
+
+class TestSubsetRanks:
+    def test_equal_fraction_oracle(self):
+        # columns are drawn fresh, zero, or as scaled copies of earlier ones, and
+        # subsets may repeat an index
+        rng = random.Random(4104)
+
+        def entry():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+        for _ in range(300):
+            g, big_n, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 8)
+            columns = []
+            for _ in range(n):
+                draw = rng.random()
+                if columns and draw < 0.3:
+                    delta, deriv = rng.choice(columns)
+                    scale = Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
+                    columns.append((tuple(scale * x for x in delta), deriv))
+                elif draw < 0.5:
+                    columns.append(((0,) * g, tuple(entry() for _ in range(big_n))))
+                elif draw < 0.6:
+                    columns.append((tuple(entry() for _ in range(g)), (0,) * big_n))
+                else:
+                    columns.append(
+                        (tuple(entry() for _ in range(g)), tuple(entry() for _ in range(big_n)))
+                    )
+            p = problem(g, big_n, columns)
+            subset = [rng.randrange(n) for _ in range(rng.randint(1, n + 2))]
+            expected = tuple(
+                oracle_rank(QMatrix.from_columns([getattr(p.points[i], side) for i in subset]))
+                for side in ("deriv", "delta")
+            )
+            assert subset_ranks(p, subset) == expected
+
+    def test_empty_subset_raises(self):
+        with pytest.raises(ValueError):
+            subset_ranks(problem(1, 1, [((1,), (1,))]), ())
 
 
 class TestKernelToWitness:
