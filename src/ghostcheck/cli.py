@@ -3,6 +3,12 @@
 Subcommands: check, generate, dims, localmodel, selftest. Exit codes:
 0 ok, 1 selftest failure, 2 bad input or an unreadable or unwritable file,
 3 any other exception (a bug).
+Output contract: each ``cmd_*`` returns ``(exit code, report)`` and writes
+nothing to stdout; ``main`` prints the report once, after the command
+returns, as ``dump_json(report)`` under ``--json`` and otherwise through the
+subcommand's text renderer, which reads only that report (and, for
+``generate``, the ``--out`` arguments it echoes). So the text is a rendering
+of the JSON report, and an error leaves stdout empty.
 Reports are byte-deterministic for identical inputs; GHOSTCHECK_THREADS is
 accepted (default 1) and the engines are sequential for any value, so the
 output never depends on it.
@@ -19,19 +25,14 @@ from .factory import FactoryError, build_line_star_instance, dim_moduli, dim_str
 from .jsonio import (
     InputError,
     dump_json,
-    expansion_to_json,
     load_problem_file,
     load_stratum_spec,
     problem_to_json,
     residue_report_to_json,
+    stopped_expansion_to_json,
     verdict_pair_to_json,
 )
-from .localmodel import (
-    GhostExpansion,
-    GhostVanishingViolated,
-    NonConstantLevel,
-    verify_residue_theorem,
-)
+from .localmodel import GhostVanishingViolated, NonConstantLevel, verify_residue_theorem
 from .obstruction import ObstructionError, Verdict, corollary_check, theorem_check
 
 EXIT_OK = 0
@@ -39,14 +40,10 @@ EXIT_SELFTEST_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
-OBSTRUCTED_TEXT = "NOT eventually smoothable (obstruction fires)"
-INCONCLUSIVE_TEXT = "inconclusive (obstruction vanishes)"
-
-
-def _verdict_text(verdict: Verdict) -> str:
-    if verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE:
-        return OBSTRUCTED_TEXT
-    return INCONCLUSIVE_TEXT
+VERDICT_TEXT = {
+    Verdict.NOT_EVENTUALLY_SMOOTHABLE.value: "NOT eventually smoothable (obstruction fires)",
+    Verdict.INCONCLUSIVE.value: "inconclusive (obstruction vanishes)",
+}
 
 
 def _thread_count() -> int:
@@ -56,83 +53,75 @@ def _thread_count() -> int:
     return int(raw)
 
 
-def _emit(text: str):
-    sys.stdout.write(text)
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     problem_file = load_problem_file(args.path)
     if not problem_file.components:
         raise InputError(f"{args.path}: no obstruction problem to check")
-    component_reports = []
-    map_obstructed = False
+    components = []
     for problem in problem_file.components:
-        theorem = theorem_check(problem)
-        corollary = corollary_check(problem)
-        if theorem.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE:
-            map_obstructed = True
-        entry = verdict_pair_to_json(theorem, corollary)
+        entry = verdict_pair_to_json(theorem_check(problem), corollary_check(problem))
         entry["genus"] = problem.genus
         entry["ambient_dim"] = problem.ambient_dim
         entry["n_points"] = problem.n_points
-        component_reports.append((theorem, corollary, entry))
-    map_verdict = (
-        Verdict.NOT_EVENTUALLY_SMOOTHABLE if map_obstructed else Verdict.INCONCLUSIVE
+        components.append(entry)
+    fired = any(
+        entry["theorem"]["verdict"] == Verdict.NOT_EVENTUALLY_SMOOTHABLE.value for entry in components
     )
-    report = {
+    return EXIT_OK, {
         "tool": "ghostcheck",
         "version": __version__,
-        "components": [entry for _, _, entry in component_reports],
-        "map_verdict": map_verdict.value,
+        "components": components,
+        "map_verdict": (Verdict.NOT_EVENTUALLY_SMOOTHABLE if fired else Verdict.INCONCLUSIVE).value,
     }
-    if args.json:
-        _emit(dump_json(report))
-        return EXIT_OK
-    lines = [f"checked {len(component_reports)} ghost component(s)"]
-    for i, (theorem, corollary, entry) in enumerate(component_reports):
-        max_rank = entry["genus"] * entry["ambient_dim"]
-        lines.append(
-            f"component {i}: theorem: {_verdict_text(theorem.verdict)}; "
-            f"rank {theorem.rank}/{entry['n_points']} (bound {max_rank})"
-        )
-        if theorem.kernel_witness is not None:
-            witness = ", ".join(str(v) for v in theorem.kernel_witness)
-            lines.append(f"             kernel witness: ({witness})")
-        lines.append(
-            f"             corollary: {_verdict_text(corollary.verdict)}"
-            + (
-                f"; witness D = {{{', '.join(str(i) for i in corollary.witness_D)}}}"
-                if corollary.witness_D is not None
-                else ""
-            )
-        )
-    lines.append(f"map verdict: {_verdict_text(map_verdict)}")
-    _emit("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_generate(args) -> int:
+def _check_text(report, args) -> str:
+    lines = [f"checked {len(report['components'])} ghost component(s)"]
+    for i, entry in enumerate(report["components"]):
+        theorem, corollary = entry["theorem"], entry["corollary"]
+        lines.append(
+            f"component {i}: theorem: {VERDICT_TEXT[theorem['verdict']]}; "
+            f"rank {theorem['rank']}/{entry['n_points']} "
+            f"(bound {entry['genus'] * entry['ambient_dim']})"
+        )
+        if theorem["kernel_witness"] is not None:
+            lines.append(f"             kernel witness: ({', '.join(theorem['kernel_witness'])})")
+        witness = ""
+        if corollary["witness_D"] is not None:
+            witness = f"; witness D = {{{', '.join(str(i) for i in corollary['witness_D'])}}}"
+        lines.append(f"             corollary: {VERDICT_TEXT[corollary['verdict']]}{witness}")
+    lines.append(f"map verdict: {VERDICT_TEXT[report['map_verdict']]}")
+    return _lines(lines)
+
+
+def cmd_generate(args):
+    """Without ``--out`` the report is the instance itself; with it, the file is
+    written and the report names it."""
     problem = build_line_star_instance(args.N, args.h, args.model)
-    payload = dump_json({"version": 1, **problem_to_json(problem)})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        if not args.json:
-            _emit(
-                f"wrote {args.out}: N={args.N}, h={args.h}, model={args.model}, "
-                f"{problem.n_points} attachment points\n"
-            )
-        else:
-            _emit(dump_json({"written": args.out, "n_points": problem.n_points}))
-    else:
-        _emit(payload)
-    return EXIT_OK
+    instance = {"version": 1, **problem_to_json(problem)}
+    if not args.out:
+        return EXIT_OK, instance
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(dump_json(instance))
+    return EXIT_OK, {"written": args.out, "n_points": problem.n_points}
 
 
-def cmd_dims(args) -> int:
+def _generate_text(report, args) -> str:
+    if not args.out:
+        return dump_json(report)
+    return (
+        f"wrote {args.out}: N={args.N}, h={args.h}, model={args.model}, "
+        f"{report['n_points']} attachment points\n"
+    )
+
+
+def cmd_dims(args):
     moduli = dim_moduli(args.N, args.g, args.d)
     report = {"N": args.N, "g": args.g, "d": args.d, "dim_moduli": moduli}
-    lines = [f"dim of the smooth-domain space (N={args.N}, g={args.g}, d={args.d}) = {moduli}"]
     if args.stratum:
         spec = load_stratum_spec(args.stratum)
         if spec.ambient_dim != args.N:
@@ -145,102 +134,81 @@ def cmd_dims(args) -> int:
             "dim": stratum,
             "excess": stratum - moduli,
         }
+    return EXIT_OK, report
+
+
+def _dims_text(report, args) -> str:
+    lines = [
+        f"dim of the smooth-domain space (N={report['N']}, g={report['g']}, d={report['d']})"
+        f" = {report['dim_moduli']}"
+    ]
+    if "stratum" in report:
+        stratum = report["stratum"]
         lines.append(
-            f"stratum (h={spec.ghost_genus}, n={spec.n_points}) = {stratum}"
-            f" (excess over smooth-domain space: {stratum - moduli})"
+            f"stratum (h={stratum['h']}, n={stratum['n']}) = {stratum['dim']}"
+            f" (excess over smooth-domain space: {stratum['excess']})"
         )
-    if args.json:
-        _emit(dump_json(report))
-    else:
-        _emit("\n".join(lines) + "\n")
-    return EXIT_OK
+    return _lines(lines)
 
 
-def cmd_localmodel(args) -> int:
+def cmd_localmodel(args):
     problem_file = load_problem_file(args.path)
     if problem_file.local_model is None:
         raise InputError(f"{args.path}: no local_model section")
     section = problem_file.local_model
-    try:
-        report = verify_residue_theorem(section.components, section.m)
-    except NonConstantLevel as exc:
-        payload = {
-            "m": section.m,
-            "levels": [],
-            "verdict": "fail",
-            "failures": [
-                {
-                    "code": "NonConstantLevel",
-                    "level": exc.level,
-                    "component": exc.component,
-                    "message": str(exc),
-                }
-            ],
-        }
-        partial = GhostExpansion(
-            m=section.m,
-            n_coords=len(section.components),
-            constants=exc.constants,
-            levels=exc.levels_completed,
-        )
-        payload["levels"] = expansion_to_json(partial)
-        if args.json:
-            _emit(dump_json(payload))
-        else:
-            _emit(
-                f"local model m={section.m}: expansion stops at level {exc.level}: {exc}\n"
-                "verdict: fail (the input does not extend to a global smoothing datum)\n"
-            )
-        return EXIT_OK
-    payload = residue_report_to_json(report)
-    if args.json:
-        _emit(dump_json(payload))
-        return EXIT_OK
-    lines = [f"local model m={report.m}, target coordinates: {report.expansion.n_coords}"]
-    for lvl in report.expansion.levels:
-        consts = ", ".join(str(v) for v in lvl.constant)
-        pieces = []
-        for comp in lvl.components:
-            if comp.pole_order:
-                residue = ", ".join(str(v) for v in comp.residue)
-                pieces.append(f"{comp.name}: simple pole, residue ({residue})")
-            else:
-                pieces.append(f"{comp.name}: regular")
-        lines.append(f"level {lvl.level}: a = ({consts}); " + "; ".join(pieces))
-    expected = ", ".join(str(v) for v in report.expected_residue)
-    lines.append(f"expected residue (effective-branch derivative): ({expected})")
-    lines.append(f"verdict: {'pass' if report.passed else 'fail'}")
-    for failure in report.failures:
-        lines.append(f"failure: {failure}")
-    _emit("\n".join(lines) + "\n")
     # residue findings are reported, not signalled through the exit code
-    return EXIT_OK
+    try:
+        return EXIT_OK, residue_report_to_json(
+            verify_residue_theorem(section.components, section.m)
+        )
+    except NonConstantLevel as exc:
+        return EXIT_OK, stopped_expansion_to_json(section, exc)
 
 
-def cmd_selftest(args) -> int:
+def _localmodel_text(report, args) -> str:
+    if "expected_residue" not in report:  # the expansion stopped at a level
+        stop = report["failures"][0]
+        return (
+            f"local model m={report['m']}: expansion stops at level {stop['level']}: "
+            f"{stop['message']}\n"
+            f"verdict: {report['verdict']} (the input does not extend to a global smoothing datum)\n"
+        )
+    lines = [f"local model m={report['m']}, target coordinates: {len(report['expected_residue'])}"]
+    for level in report["levels"]:
+        pieces = [
+            f"{comp['name']}: simple pole, residue ({', '.join(comp['residue'])})"
+            if comp["pole_order"]
+            else f"{comp['name']}: regular"
+            for comp in level["components"]
+        ]
+        lines.append(f"level {level['l']}: a = ({', '.join(level['a'])}); " + "; ".join(pieces))
+    lines.append(
+        f"expected residue (effective-branch derivative): ({', '.join(report['expected_residue'])})"
+    )
+    lines.append(f"verdict: {report['verdict']}")
+    lines += [f"failure: {failure}" for failure in report["failures"]]
+    return _lines(lines)
+
+
+def cmd_selftest(args):
     from .selftest import run_all
 
     results = run_all()
-    if args.json:
-        _emit(
-            dump_json(
-                {
-                    "tool": "ghostcheck",
-                    "version": __version__,
-                    "criteria": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                    "passed": all(r.passed for r in results),
-                }
-            )
-        )
-    else:
-        for r in results:
-            _emit(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
-        good = sum(1 for r in results if r.passed)
-        _emit(f"selftest: {good}/{len(results)} criteria passed\n")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST_FAILED
+    passed = all(r.passed for r in results)
+    return EXIT_OK if passed else EXIT_SELFTEST_FAILED, {
+        "tool": "ghostcheck",
+        "version": __version__,
+        "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "passed": passed,
+    }
+
+
+def _selftest_text(report, args) -> str:
+    criteria = report["criteria"]
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}" for c in criteria]
+    good = sum(1 for c in criteria if c["passed"])
+    lines.append(f"selftest: {good}/{len(criteria)} criteria passed")
+    return _lines(lines)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -263,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run both obstruction tests on a problem file")
     p_check.add_argument("path", help="JSON problem file")
     p_check.add_argument("--json", action="store_true", help="machine-readable output only")
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, text=_check_text)
 
     p_gen = sub.add_parser("generate", help="generate a line-star family instance")
     p_gen.add_argument("--N", type=int, required=True, help="ambient dimension (>= 2)")
@@ -278,8 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="has no effect (line stars are built without sampling)"
     )
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
-    p_gen.add_argument("--json", action="store_true", help="machine-readable output only")
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.add_argument(
+        "--json", action="store_true",
+        help="with --out, print {written, n_points}; without --out the instance is JSON anyway",
+    )
+    p_gen.set_defaults(func=cmd_generate, text=_generate_text)
 
     p_dims = sub.add_parser("dims", help="dimension counts")
     p_dims.add_argument("--N", type=int, required=True)
@@ -287,26 +258,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--d", type=int, required=True)
     p_dims.add_argument("--stratum", help="JSON stratum spec {N, h, parts: [[g_i, d_i], ...]}")
     p_dims.add_argument("--json", action="store_true")
-    p_dims.set_defaults(func=cmd_dims)
+    p_dims.set_defaults(func=cmd_dims, text=_dims_text)
 
     p_local = sub.add_parser("localmodel", help="verify the chain expansion of a local datum")
     p_local.add_argument("path", help="JSON file with a local_model section")
     p_local.add_argument("--json", action="store_true")
-    p_local.set_defaults(func=cmd_localmodel)
+    p_local.set_defaults(func=cmd_localmodel, text=_localmodel_text)
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
     p_self.add_argument("--json", action="store_true")
-    p_self.set_defaults(func=cmd_selftest)
+    p_self.set_defaults(func=cmd_selftest, text=_selftest_text)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. The only place an exception becomes an exit code."""
+    """Run one subcommand and print its report. The only code that writes
+    stdout, and the only place an exception becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
         _thread_count()
-        return args.func(args)
+        code, report = args.func(args)
+        sys.stdout.write(dump_json(report) if args.json else args.text(report, args))
+        return code
     except (InputError, FactoryError, ObstructionError, GhostVanishingViolated, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

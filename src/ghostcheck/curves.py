@@ -13,8 +13,10 @@ several points is taken by their callers. Conventions:
   away from the glued points (residues +1 at a_j, -1 at b_j);
 - raw: a stored genus x n matrix of evaluation vectors, points are indices.
 
-Verdicts downstream are invariant under these choices; the conventions are
-fixed so that fixtures and reports are reproducible.
+Verdicts downstream are invariant under these choices: rescaling the
+coordinate at a point by s only divides its covector by s, which changes no
+rank. So the coordinates are fixed, with no scale parameter, and fixtures and
+reports are reproducible.
 """
 
 from __future__ import annotations
@@ -126,20 +128,11 @@ class HyperellipticModel:
             raise WeierstrassPoint(f"x = {x0} is a branch point; evaluation needs y != 0")
         return x0, y0
 
-    def ev_vector(
-        self, point: Sequence[RatLike], coordinate_scale: RatLike = 1
-    ) -> tuple[Fraction, ...]:
-        """(w_1(p), ..., w_g(p)) against the coordinate scale*(x - x0).
-
-        The basis section x^(a-1) dx / y evaluates to x0^(a-1) / y0 in the
-        coordinate x - x0; rescaling the coordinate by s divides every entry
-        by s (covector transformation).
-        """
+    def ev_vector(self, point: Sequence[RatLike]) -> tuple[Fraction, ...]:
+        """(w_1(p), ..., w_g(p)) against the coordinate x - x0: the basis
+        section x^(a-1) dx / y evaluates to x0^(a-1) / y0."""
         x0, y0 = self.validate_point(point)
-        s = rat(coordinate_scale)
-        if s == 0:
-            raise CurveModelError("coordinate scale must be nonzero")
-        return tuple(x0 ** (a - 1) / (y0 * s) for a in range(1, self.genus + 1))
+        return tuple(x0 ** (a - 1) / y0 for a in range(1, self.genus + 1))
 
 
 @dataclass(frozen=True)
@@ -174,14 +167,9 @@ class NodalRationalModel:
                 raise PointAtNode(f"parameter {value} is a node preimage")
         return value
 
-    def ev_vector(self, p: RatLike, coordinate_scale: RatLike = 1) -> tuple[Fraction, ...]:
+    def ev_vector(self, p: RatLike) -> tuple[Fraction, ...]:
         value = self.validate_point(p)
-        s = rat(coordinate_scale)
-        if s == 0:
-            raise CurveModelError("coordinate scale must be nonzero")
-        return tuple(
-            (1 / (value - a) - 1 / (value - b)) / s for a, b in self.node_pairs
-        )
+        return tuple(1 / (value - a) - 1 / (value - b) for a, b in self.node_pairs)
 
 
 @dataclass(frozen=True)

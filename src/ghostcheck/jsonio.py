@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from .curves import (
     GhostCurveModel,
@@ -21,7 +21,7 @@ from .curves import (
 from .exact import QMatrix, integer, rat, rat_to_str, rat_vector
 from .factory import StratumSpec
 from .laurent import LaurentPoly, normal_form_xyt, poly_from_json
-from .localmodel import XYT, GhostExpansion, ResidueReport
+from .localmodel import XYT, ExpansionLevel, NonConstantLevel, ResidueReport
 from .obstruction import (
     AttachmentColumn,
     CorollaryVerdict,
@@ -39,6 +39,11 @@ FORMAT_VERSION = 1
 MAX_LOCAL_M = 256
 MAX_LOCAL_COORDS = 16
 MAX_LOCAL_TERMS = 64  # per coordinate, counted as listed in the file
+# A component's g*N x n obstruction matrix costs g*N*n entries to build and,
+# with a kernel, about cubic time to eliminate; this bound admits every
+# obstructed g = N = 16 problem (n < g + N) and keeps the worst file in time.
+# Library callers are not bounded.
+MAX_MATRIX_ENTRIES = 8192
 
 
 class InputError(Exception):
@@ -115,6 +120,15 @@ def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str):
 # -- problems -----------------------------------------------------------------
 
 
+def _require_matrix_size(genus: int, ambient: int, n_points: int, where: str):
+    entries = genus * ambient * n_points
+    _require(
+        entries <= MAX_MATRIX_ENTRIES,
+        f"{where}: g*N*n = {genus}*{ambient}*{n_points} = {entries} matrix entries, "
+        f"over the limit {MAX_MATRIX_ENTRIES}",
+    )
+
+
 def problem_from_json(data: Mapping, where: str = "component") -> ObstructionProblem:
     try:
         if "curve_model" in data:
@@ -130,6 +144,7 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
             )
             _require(len(derivs) >= 1, f"{where}: need at least one attachment")
             ambient = len(derivs[0])
+            _require_matrix_size(model.genus, ambient, len(derivs), where)
             columns = []
             for i, (att, dv) in enumerate(zip(attachments, derivs)):
                 point = _attachment_from_json(model, att, f"{where}.attachments[{i}]")
@@ -144,8 +159,10 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
             )
         genus = integer(_get(data, "genus", where))
         ambient = integer(_get(data, "ambient_dim", where))
+        points = _get_list(data, "points", where)
+        _require_matrix_size(genus, ambient, len(points), where)
         columns = []
-        for i, entry in enumerate(_get_list(data, "points", where)):
+        for i, entry in enumerate(points):
             delta = rat_vector(_get_list(entry, "delta", f"{where}.points[{i}]"))
             deriv = rat_vector(_get_list(entry, "deriv", f"{where}.points[{i}]"))
             columns.append(AttachmentColumn(delta=delta, deriv=deriv))
@@ -292,9 +309,9 @@ def verdict_pair_to_json(theorem: TheoremVerdict, corollary: CorollaryVerdict) -
     }
 
 
-def expansion_to_json(expansion: GhostExpansion) -> list[dict]:
+def expansion_to_json(expansion_levels: Sequence[ExpansionLevel]) -> list[dict]:
     levels = []
-    for lvl in expansion.levels:
+    for lvl in expansion_levels:
         levels.append(
             {
                 "l": lvl.level,
@@ -316,9 +333,27 @@ def residue_report_to_json(report: ResidueReport) -> dict:
     return {
         "m": report.m,
         "expected_residue": [rat_to_str(v) for v in report.expected_residue],
-        "levels": expansion_to_json(report.expansion),
+        "levels": expansion_to_json(report.expansion.levels),
         "verdict": "pass" if report.passed else "fail",
         "failures": list(report.failures),
+    }
+
+
+def stopped_expansion_to_json(section: LocalModelInput, stop: NonConstantLevel) -> dict:
+    """The report of an expansion that stopped at a non-constant level: the
+    levels completed before it, and the stop as the one failure."""
+    return {
+        "m": section.m,
+        "levels": expansion_to_json(stop.levels_completed),
+        "verdict": "fail",
+        "failures": [
+            {
+                "code": "NonConstantLevel",
+                "level": stop.level,
+                "component": stop.component,
+                "message": str(stop),
+            }
+        ],
     }
 
 

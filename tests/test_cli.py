@@ -117,6 +117,16 @@ class TestCheck:
         corollary = json.loads(out)["components"][0]["corollary"]
         assert corollary == {"verdict": "NotEventuallySmoothable", "witness_D": None}
 
+    def test_matrix_over_the_limit_is_bad_input(self, capsys, tmp_path):
+        # a 6 KB file whose obstruction matrix would have 360,000 entries
+        path = tmp_path / "wide.json"
+        point = {"delta": ["1"] * 600, "deriv": ["1"] * 600}
+        path.write_text(json.dumps({"version": 1, "genus": 600, "ambient_dim": 600, "points": [point]}))
+        assert run_cli(capsys, "check", str(path), "--json") == (
+            EXIT_BAD_INPUT, "",
+            "error: problem: g*N*n = 600*600*1 = 360000 matrix entries, over the limit 8192\n",
+        )
+
 
 def assert_bad_input(code, out, err):
     """Exit 2, nothing on stdout, exactly one ``error:`` line on stderr."""
@@ -210,6 +220,18 @@ class TestGenerate:
         code, out, _ = run_cli(capsys, "generate", "--N", "2", "--h", "2")
         assert code == EXIT_OK
         assert json.loads(out)["ambient_dim"] == 2
+
+    def test_json_flag_without_out_changes_nothing(self, capsys):
+        argv = ("generate", "--N", "3", "--h", "2", "--model", "nodal_rational")
+        plain = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--json") == plain and plain[0] == EXIT_OK
+
+    def test_json_with_out_names_the_written_file(self, capsys, tmp_path):
+        path = tmp_path / "star.json"
+        code, out, err = run_cli(capsys, "generate", "--N", "2", "--h", "2", "--out", str(path), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == dump_json({"n_points": 4, "written": str(path)})
+        assert json.loads(path.read_text())["ambient_dim"] == 2
 
     def test_capacity_error_is_bad_input(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--N", "5", "--h", "4")

@@ -79,15 +79,6 @@ class TestHyperellipticModel:
             points = [(Fraction(x), Fraction(rng.choice((-1, 1)) * k)) for x in xs]
             assert ev_rank(model, points) == h
 
-    def test_coordinate_rescaling_is_covector_scaling(self):
-        model = HyperellipticModel(2, [1, 2, 0, 0, 0, 1])
-        lam = Fraction(7, 3)
-        base = model.ev_vector((1, 2))
-        scaled = model.ev_vector((1, 2), coordinate_scale=lam)
-        # direct recomputation: basis value x0^(a-1)/y0 against lam*(x - x0)
-        assert scaled == tuple(Fraction(1, 2) / lam for _ in range(2))
-        assert scaled == tuple(v / lam for v in base)
-
 
 class TestNodalRationalModel:
     def test_worked_example(self):
@@ -110,12 +101,6 @@ class TestNodalRationalModel:
         model = NodalRationalModel(1, [(0, 1)])
         with pytest.raises(PointAtNode):
             model.ev_vector(1)
-
-    def test_rescaling(self):
-        model = NodalRationalModel(2, [(0, 1), (2, 3)])
-        lam = Fraction(5)
-        base = model.ev_vector(7)
-        assert model.ev_vector(7, coordinate_scale=lam) == tuple(v / lam for v in base)
 
 
 class TestRawEvaluationModel:

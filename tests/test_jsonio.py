@@ -9,6 +9,7 @@ from ghostcheck.curves import HyperellipticModel, NodalRationalModel, RawEvaluat
 from ghostcheck.exact import QMatrix
 from ghostcheck.factory import random_instance
 from ghostcheck.jsonio import (
+    MAX_MATRIX_ENTRIES,
     InputError,
     dump_json,
     local_model_from_json,
@@ -19,6 +20,7 @@ from ghostcheck.jsonio import (
 )
 from ghostcheck.laurent import LaurentPoly
 from ghostcheck.localmodel import XYT
+from ghostcheck.obstruction import theorem_check
 
 
 class TestProblemRoundTrip:
@@ -40,6 +42,48 @@ class TestProblemRoundTrip:
         assert problem.points[0].delta == (Fraction(2, 3),)
         assert problem.points[0].deriv == (Fraction(-1, 7), Fraction(0))
         assert problem_from_json(problem_to_json(problem)) == problem
+
+
+class TestMatrixBound:
+    """g*N*n is bounded by MAX_MATRIX_ENTRIES in the reader, before any vector is read."""
+
+    @staticmethod
+    def raw(genus, ambient, n):
+        return {
+            "genus": genus,
+            "ambient_dim": ambient,
+            "points": [{"delta": ["1"] * genus, "deriv": ["1"] * ambient}] * n,
+        }
+
+    def test_the_limit_is_admitted(self):
+        n = MAX_MATRIX_ENTRIES // 64
+        assert 64 * n == MAX_MATRIX_ENTRIES
+        assert problem_from_json(self.raw(8, 8, n)).n_points == n
+
+    def test_one_point_over_the_limit(self):
+        n = MAX_MATRIX_ENTRIES // 64 + 1
+        with pytest.raises(InputError) as info:
+            problem_from_json(self.raw(8, 8, n), "components[1]")
+        assert str(info.value) == (
+            f"components[1]: g*N*n = 8*8*{n} = {64 * n} matrix entries, "
+            f"over the limit {MAX_MATRIX_ENTRIES}"
+        )
+
+    def test_curve_model_counts_the_model_genus(self):
+        ambient = MAX_MATRIX_ENTRIES // 2 + 1
+        data = {
+            "curve_model": {"type": "raw", "genus": 2, "ev_matrix": [["1"], ["0"]]},
+            "attachments": [{"index": 0}],
+            "derivs": [["1"] * ambient],
+        }
+        with pytest.raises(InputError) as info:
+            problem_from_json(data, "problem")
+        assert str(info.value).startswith(f"problem: g*N*n = 2*{ambient}*1 = {2 * ambient} matrix")
+
+    def test_library_callers_are_not_bounded(self):
+        problem = random_instance(1, 40, 40, 6)
+        assert 40 * 40 * 6 > MAX_MATRIX_ENTRIES
+        assert theorem_check(problem).rank == 6
 
 
 class TestCurveModelJson:
