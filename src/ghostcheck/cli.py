@@ -63,7 +63,10 @@ def cmd_check(args):
         raise InputError(f"{args.path}: no obstruction problem to check")
     components = []
     for problem in problem_file.components:
-        entry = verdict_pair_to_json(theorem_check(problem), corollary_check(problem))
+        # the corollary check first: it refuses an inconclusive problem over
+        # the witness-search cap before the theorem check's elimination runs
+        corollary = corollary_check(problem)
+        entry = verdict_pair_to_json(theorem_check(problem), corollary)
         entry["genus"] = problem.genus
         entry["ambient_dim"] = problem.ambient_dim
         entry["n_points"] = problem.n_points

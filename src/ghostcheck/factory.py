@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curves import HyperellipticModel, NodalRationalModel
-from .exact import IntEchelon, integerize, rat_vector
+from .exact import IntEchelon, integer, integerize, rat_vector
 from .obstruction import MAX_SUBSET_POINTS, AttachmentColumn, ObstructionProblem
 
 
@@ -53,7 +53,8 @@ class StratumSpec:
     parts: tuple[tuple[int, int], ...]
 
     def __init__(self, ambient_dim: int, ghost_genus: int, parts: Sequence[Sequence[int]]):
-        pts = tuple((int(g), int(d)) for g, d in parts)
+        ambient_dim, ghost_genus = integer(ambient_dim), integer(ghost_genus)
+        pts = tuple((integer(g), integer(d)) for g, d in parts)
         if ambient_dim < 1:
             raise FactoryError("ambient dimension must be >= 1")
         if ghost_genus < 1:
@@ -87,19 +88,17 @@ class StratumSpec:
 
 
 def dim_stratum(spec: StratumSpec) -> int:
-    """Dimension of the stratum, computed by the explicit sum
+    """Dimension of the stratum, by the explicit sum
 
-        3h - 3 + n - N(n-1) + sum_i ((N-3)(1-g_i) + d_i(N+1) + 1)
+        3h - 3 + n - N(n-1) + sum_i ((N-3)(1-g_i) + d_i(N+1) + 1),
 
-    and cross-checked against the closed form (moduli dimension) + N h - n.
+    the same polynomial as the closed form (moduli dimension) + N h - n;
+    the selftest and tests/test_factory.py compare the two.
     """
     big_n, h, n = spec.ambient_dim, spec.ghost_genus, spec.n_points
     total = 3 * h - 3 + n - big_n * (n - 1)
     for g_i, d_i in spec.parts:
         total += (big_n - 3) * (1 - g_i) + d_i * (big_n + 1) + 1
-    closed_form = _moduli_dim_formula(big_n, spec.genus, spec.degree) + big_n * h - n
-    if total != closed_form:
-        raise AssertionError("stratum dimension formulas disagree; this is a bug")
     return total
 
 

@@ -44,6 +44,10 @@ MAX_LOCAL_TERMS = 64  # per coordinate, counted as listed in the file
 # obstructed g = N = 16 problem (n < g + N) and keeps the worst file in time.
 # Library callers are not bounded.
 MAX_MATRIX_ENTRIES = 8192
+# The squarefree test of a hyperelliptic f runs Euclid over Q in degree up to
+# 2g+2, whose cost grows steeply with g and which the matrix bound does not
+# limit (one point has g*N*n = g); this bound admits every line star.
+MAX_HYPERELLIPTIC_GENUS = 16
 
 
 class InputError(Exception):
@@ -90,6 +94,10 @@ def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveMode
     try:
         genus = integer(_get(data, "genus", where))
         if kind == "hyperelliptic":
+            _require(
+                genus <= MAX_HYPERELLIPTIC_GENUS,
+                f"{where}: hyperelliptic genus {genus} exceeds the limit {MAX_HYPERELLIPTIC_GENUS}",
+            )
             return HyperellipticModel(genus, _get_list(data, "f", where))
         if kind == "nodal_rational":
             nodes = _get_list(data, "nodes", where)

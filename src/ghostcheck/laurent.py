@@ -47,7 +47,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         canon: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in items:
-            e = tuple(int(k) for k in exps)
+            e = tuple(integer(k) for k in exps)
             if len(e) != len(vt):
                 raise ValueError(f"exponent vector {e} does not match variables {vt}")
             q = canon.get(e, Fraction(0)) + rat(coeff)

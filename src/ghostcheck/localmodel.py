@@ -148,10 +148,9 @@ def verify_chart_relations(m: int) -> ChartReport:
     """Check the chart algebra of the resolved surface, identity by identity.
 
     (i) x*y = t^m in every chart; (ii) the transitions z' = w^-1,
-    w' = z*w^2 carry chart j+1's parametrization to chart j's; (iii) with
-    the bundle coordinates [u_k : v_k] = [t^k : x], every defining equation
-    of the global resolution vanishes identically in every chart. Failures
-    are reported, not raised.
+    w' = z*w^2 carry chart j+1's parametrization to chart j's. Each of these
+    2m - 1 identities reads the charts' x, y and t, so a wrong chart fails
+    some of them. Failures are reported, not raised.
     """
     if not 1 <= m <= MAX_CHART_M:
         raise LocalModelError(f"chart verification supports 1 <= m <= {MAX_CHART_M}")
@@ -172,23 +171,6 @@ def verify_chart_relations(m: int) -> ChartReport:
             for name in ("x", "y", "t")
         )
         checks.append(CheckItem(f"transition chart {j} -> {j + 1}", ok))
-    chain_len = m - 1
-    for ch in charts:
-        u = lambda k: ch.t**k
-        v = lambda k: ch.x
-        for k in range(1, chain_len + 1):
-            if k == 1:
-                eq = ch.x * u(1) - ch.t * v(1)
-                name = f"chart {ch.index}: x*u_1 - t*v_1"
-            else:
-                eq = v(k - 1) * u(k) - ch.t * v(k) * u(k - 1)
-                name = f"chart {ch.index}: v_{k - 1}*u_{k} - t*v_{k}*u_{k - 1}"
-            checks.append(CheckItem(name, eq.is_zero))
-        if chain_len >= 1:
-            eq = u(chain_len) * ch.t - v(chain_len) * ch.y
-            checks.append(
-                CheckItem(f"chart {ch.index}: u_{chain_len}*t - v_{chain_len}*y", eq.is_zero)
-            )
     return ChartReport(m=m, checks=tuple(checks))
 
 

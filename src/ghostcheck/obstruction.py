@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import IntEchelon, QMatrix, RatLike, integerize, rat_vector
+from .exact import IntEchelon, QMatrix, RatLike, integer, integerize, rat_vector
 
 MAX_SUBSET_POINTS = 24
 
@@ -80,6 +80,7 @@ class ObstructionProblem:
     points: tuple[AttachmentColumn, ...]
 
     def __init__(self, genus: int, ambient_dim: int, points: Sequence[AttachmentColumn]):
+        genus, ambient_dim = integer(genus), integer(ambient_dim)
         if genus < 1 or ambient_dim < 1:
             raise ObstructionError("genus and ambient dimension must be >= 1")
         pts = tuple(points)

@@ -1,11 +1,13 @@
 """Write ``tests/golden_cli.json``, the byte-exact CLI corpus that
-``tests/test_golden_cli.py`` replays.
+``tests/test_golden_cli.py`` replays, and ``tests/golden_selftest.txt``, the
+text report of ``selftest`` that ``tests/test_cli.py`` compares.
 
 Each case names its input files (written into a fresh directory), an argv in
 which ``{dir}`` stands for that directory, and what ``cli.main`` gave: exit
 code, stdout, stderr (the directory replaced by ``{dir}`` again) and, for
 ``generate --out``, the written file. Every subcommand but ``selftest`` is
-covered, in text and in ``--json``.
+covered, in text and in ``--json``; ``selftest`` runs for seconds, so only
+its text report is pinned, in a file of its own.
 
 Run from the repository root after a deliberate output change only:
 
@@ -26,6 +28,7 @@ from ghostcheck.factory import random_instance
 from ghostcheck.jsonio import problem_to_json
 
 CORPUS = Path(__file__).resolve().parent / "golden_cli.json"
+SELFTEST = Path(__file__).resolve().parent / "golden_selftest.txt"
 DIR = "{dir}"
 
 
@@ -175,6 +178,14 @@ def build():
     return corpus
 
 
+def selftest_text() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["selftest"])
+    return out.getvalue()
+
+
 if __name__ == "__main__":
     CORPUS.write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {CORPUS}")
+    SELFTEST.write_text(selftest_text(), encoding="utf-8")
+    print(f"wrote {CORPUS} and {SELFTEST}")

@@ -17,6 +17,7 @@ from ghostcheck.cli import (
     main,
 )
 from ghostcheck.selftest import Criterion
+from make_golden import SELFTEST
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +117,34 @@ class TestCheck:
         assert code == EXIT_OK and err == ""
         corollary = json.loads(out)["components"][0]["corollary"]
         assert corollary == {"verdict": "NotEventuallySmoothable", "witness_D": None}
+
+    def test_corollary_check_refuses_before_the_elimination(self, capsys, monkeypatch, tmp_path):
+        # g = 7, N = 10, n = 117: inconclusive and over the witness-search cap,
+        # refused by the corollary check before the theorem check could run
+        import ghostcheck.cli as cli_module
+
+        def never(problem):
+            raise AssertionError("theorem_check ran before the corollary check")
+
+        monkeypatch.setattr(cli_module, "theorem_check", never)
+        path = tmp_path / "wide.json"
+        path.write_text(dump_json({"version": 1, **problem_to_json(random_instance(7, 7, 10, 117))}))
+        assert run_cli(capsys, "check", str(path)) == (
+            EXIT_BAD_INPUT, "", "error: 117 attachment points exceed the cap of 24\n",
+        )
+
+    def test_hyperelliptic_genus_over_the_limit_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "hyper.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "curve_model": {"type": "hyperelliptic", "genus": 17, "f": ["1"] * 36},
+            "attachments": [{"x": "0", "y": "1"}],
+            "derivs": [["1"]],
+        }))
+        assert run_cli(capsys, "check", str(path)) == (
+            EXIT_BAD_INPUT, "",
+            "error: problem.curve_model: hyperelliptic genus 17 exceeds the limit 16\n",
+        )
 
     def test_matrix_over_the_limit_is_bad_input(self, capsys, tmp_path):
         # a 6 KB file whose obstruction matrix would have 360,000 entries
@@ -425,6 +454,10 @@ class TestSelftest:
     def test_repeated_runs_identical_bytes(self, two_selftest_runs):
         (_, first), (_, second) = two_selftest_runs
         assert first == second
+
+    def test_report_matches_the_pinned_text(self, two_selftest_runs):
+        _, out = two_selftest_runs[0]
+        assert out == SELFTEST.read_text(encoding="utf-8")
 
 
 class TestEnvironment:

@@ -66,6 +66,13 @@ class TestStratumSpec:
         with pytest.raises(FactoryError):
             StratumSpec(2, 3, [(1, 2), (0, 1)])
 
+    def test_non_integer_values_rejected(self):
+        # never truncated to parts ((0, 3),)
+        with pytest.raises(TypeError):
+            StratumSpec(2, 2, [(0.7, 3.9)])
+        with pytest.raises(TypeError):
+            StratumSpec(2.0, 2, [(0, 3)])
+
 
 class TestDimStratum:
     @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ import pytest
 
 from ghostcheck.curves import HyperellipticModel, NodalRationalModel, RawEvaluationModel
 from ghostcheck.exact import QMatrix
-from ghostcheck.factory import random_instance
+from ghostcheck.factory import _hyperelliptic_star_model, random_instance
 from ghostcheck.jsonio import (
+    MAX_HYPERELLIPTIC_GENUS,
     MAX_MATRIX_ENTRIES,
     InputError,
     dump_json,
@@ -20,7 +21,7 @@ from ghostcheck.jsonio import (
 )
 from ghostcheck.laurent import LaurentPoly
 from ghostcheck.localmodel import XYT
-from ghostcheck.obstruction import theorem_check
+from ghostcheck.obstruction import MAX_SUBSET_POINTS, theorem_check
 
 
 class TestProblemRoundTrip:
@@ -84,6 +85,31 @@ class TestMatrixBound:
         problem = random_instance(1, 40, 40, 6)
         assert 40 * 40 * 6 > MAX_MATRIX_ENTRIES
         assert theorem_check(problem).rank == 6
+
+
+class TestHyperellipticGenusBound:
+    """The genus is bounded by MAX_HYPERELLIPTIC_GENUS before f is read."""
+
+    @staticmethod
+    def star(genus):
+        model, _ = _hyperelliptic_star_model(genus)
+        return {"type": "hyperelliptic", "genus": genus, "f": [str(c) for c in model.f_coeffs]}
+
+    def test_the_limit_is_admitted(self):
+        assert model_from_json(self.star(MAX_HYPERELLIPTIC_GENUS)).genus == MAX_HYPERELLIPTIC_GENUS
+
+    def test_one_over_the_limit(self):
+        with pytest.raises(InputError) as info:
+            model_from_json(self.star(MAX_HYPERELLIPTIC_GENUS + 1), "problem.curve_model")
+        assert str(info.value) == (
+            f"problem.curve_model: hyperelliptic genus {MAX_HYPERELLIPTIC_GENUS + 1} "
+            f"exceeds the limit {MAX_HYPERELLIPTIC_GENUS}"
+        )
+
+    def test_every_line_star_genus_is_admitted(self):
+        # a line star has N >= 2 groups of h points and at most MAX_SUBSET_POINTS points
+        genus = MAX_SUBSET_POINTS // 2
+        assert model_from_json(self.star(genus)).genus == genus
 
 
 class TestCurveModelJson:

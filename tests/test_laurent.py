@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LaurentPoly(("z", "z"), {})
 
+    def test_non_integer_exponent_rejected(self):
+        # never truncated to x*t
+        with pytest.raises(TypeError):
+            LaurentPoly(XYT, {(1.9, 0, True): 1})
+
 
 class TestArithmetic:
     def test_x_times_x_inverse(self):

@@ -79,9 +79,29 @@ class TestCharts:
         assert len(report.checks) == 1  # just x*y = t
 
     def test_m5_equation_count(self):
-        # per chart: one product identity and m defining equations; m-1 transitions
+        # one product identity per chart and m-1 transitions
         report = verify_chart_relations(5)
-        assert len(report.checks) == 5 * (1 + 5) + 4
+        assert len(report.checks) == 5 + 4
+
+    @pytest.mark.parametrize("coordinate", ["x", "y", "t"])
+    def test_wrong_chart_fails_identities(self, monkeypatch, coordinate):
+        original = localmodel_module.chart
+
+        def wrong_chart(m, j):
+            ch = original(m, j)
+            if j != 2:
+                return ch
+            fields = {"x": ch.x, "y": ch.y, "t": ch.t}
+            fields[coordinate] = fields[coordinate] * LaurentPoly.monomial(ZW, (1, 0))
+            return Chart(m=m, index=j, **fields)
+
+        monkeypatch.setattr(localmodel_module, "chart", wrong_chart)
+        failed = {c.name for c in verify_chart_relations(4).checks if not c.passed}
+        assert failed == {
+            "chart 2: x*y = t^4",
+            "transition chart 1 -> 2",
+            "transition chart 2 -> 3",
+        }
 
     def test_m_out_of_range(self):
         with pytest.raises(LocalModelError):

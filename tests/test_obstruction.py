@@ -66,6 +66,12 @@ class TestObstructionMatrix:
         with pytest.raises(ValueError):
             ObstructionProblem(2, 2, [])
 
+    def test_non_integer_dimensions_rejected(self):
+        with pytest.raises(TypeError):
+            problem(2.0, 1, [((1, 0), (1,))])
+        with pytest.raises(TypeError):
+            problem(2, True, [((1, 0), (1,))])
+
 
 class TestTheoremCheck:
     def test_single_nonzero_column_fires(self):

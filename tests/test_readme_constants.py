@@ -16,6 +16,7 @@ CONSTANTS = {
     "MAX_LOCAL_COORDS": jsonio.MAX_LOCAL_COORDS,
     "MAX_LOCAL_TERMS": jsonio.MAX_LOCAL_TERMS,
     "MAX_MATRIX_ENTRIES": jsonio.MAX_MATRIX_ENTRIES,
+    "MAX_HYPERELLIPTIC_GENUS": jsonio.MAX_HYPERELLIPTIC_GENUS,
     "MAX_SUBSET_POINTS": obstruction.MAX_SUBSET_POINTS,
 }
 
