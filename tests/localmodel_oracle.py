@@ -5,7 +5,10 @@ level restriction from the exponents. This oracle keeps the direct route: it
 forms ``G_l = (G_(l-1) - a_(l-1)) / t`` downstairs in (x, y, t) at every
 level, pulls ``G_l`` back to the chart of every component of the sub-chain
 and restricts it to the component with ``restrict_to_axis``. It raises the
-same exceptions with the same messages, so reports can be compared whole.
+engine's exceptions with the same messages, so reports can be compared whole.
+It also checks what the engine builds in by construction: every pole is
+simple, sits at the level's own node and has the expected residue; a
+violation raises this module's ``UnexpectedPole`` or ``ResidueMismatch``.
 """
 
 from __future__ import annotations
@@ -22,12 +25,22 @@ from ghostcheck.localmodel import (
     LocalModelError,
     NonConstantLevel,
     ResidueReport,
-    UnexpectedPole,
     _component_names,
     _validate_input,
     chart,
     effective_branch_derivative,
 )
+
+
+class UnexpectedPole(LocalModelError):
+    """A pole of order >= 2, off the allowed node, or along a whole component."""
+
+    def __init__(self, level: int, component: str, detail: str):
+        super().__init__(f"level {level}: unexpected pole on {component} ({detail})")
+
+
+class ResidueMismatch(LocalModelError):
+    """A level's residue at its node differs from the x-linear coefficient of G."""
 
 
 def oracle_expand_ghost(
@@ -83,7 +96,6 @@ def oracle_expand_ghost(
                 level=level,
                 constant=constants[level - 1],
                 components=tuple(records),
-                residue_at_node=records[0].residue,
             )
         )
         if level == m:
@@ -97,7 +109,6 @@ def oracle_expand_ghost(
                         level + 1,
                         record.name,
                         f"coordinate {k} restricts to {restricted!r}",
-                        constants=constants,
                         levels_completed=levels,
                     )
             if not seeded:
@@ -108,7 +119,6 @@ def oracle_expand_ghost(
                     level + 1,
                     record.name,
                     "components disagree on the constant value",
-                    constants=constants,
                     levels_completed=levels,
                 )
         a_level = tuple(values)
@@ -118,12 +128,7 @@ def oracle_expand_ghost(
             for g, a in zip(current, a_level)
         ]
 
-    return GhostExpansion(
-        m=m,
-        n_coords=n_coords,
-        constants=tuple(constants),
-        levels=tuple(levels),
-    )
+    return GhostExpansion(m=m, levels=tuple(levels))
 
 
 def oracle_verify_residue_theorem(
@@ -131,9 +136,9 @@ def oracle_verify_residue_theorem(
 ) -> ResidueReport:
     expansion = oracle_expand_ghost(ghost_map, m)
     expected = effective_branch_derivative(ghost_map)
-    failures = tuple(
-        f"level {lvl.level}: residue {lvl.residue_at_node} != expected {expected}"
-        for lvl in expansion.levels
-        if lvl.residue_at_node != expected
-    )
-    return ResidueReport(m=m, expected_residue=expected, expansion=expansion, failures=failures)
+    for lvl in expansion.levels:
+        if lvl.components[0].residue != expected:
+            raise ResidueMismatch(
+                f"level {lvl.level}: residue {lvl.components[0].residue} != expected {expected}"
+            )
+    return ResidueReport(m=m, expected_residue=expected, expansion=expansion)

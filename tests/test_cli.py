@@ -3,17 +3,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 import ghostcheck.selftest as selftest_module
 from ghostcheck.factory import random_instance
 from ghostcheck.jsonio import dump_json, problem_to_json
+from ghostcheck.laurent import LaurentPoly
 from ghostcheck.cli import (
     EXIT_BAD_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
-    EXIT_SELFTEST_FAILED,
     main,
 )
 from ghostcheck.selftest import Criterion
@@ -171,6 +172,14 @@ HYPER_NO_F = {"type": "hyperelliptic", "genus": 1}
 LINEAR_G = [[{"exps": [1, 0, 0], "coeff": "1"}]]
 
 
+# the exact error line of each malformed local-model term in the cases below
+TERM_ERRORS = {
+    "term-without-coeff": "local_model.G[0][0]: missing field 'coeff'",
+    "term-a-list": "local_model.G[0][0]: expected an object, got list",
+    "exps-a-number": "local_model.G[0][0].exps: expected a list, got int",
+}
+
+
 class TestStrictRationals:
     @pytest.mark.parametrize(
         "data",
@@ -199,21 +208,27 @@ class TestStrictRationals:
             {"local_model": {"m": 2, "G": [{}]}},
             {"local_model": {"m": 2, "G": "x"}},
             {"version": True, "genus": 1, "ambient_dim": 1, "points": [{"delta": ["1"], "deriv": ["1"]}]},
+            {"local_model": {"m": 2, "G": [[{"exps": [1, 0, 0]}]]}},
+            {"local_model": {"m": 2, "G": [[["x"]]]}},
+            {"local_model": {"m": 2, "G": [[{"exps": 5, "coeff": "1"}]]}},
         ],
         ids=[
             "float-in-vector", "attachments-not-a-list", "zero-denominator", "bool-as-rational",
             "float-genus", "float-m", "bool-genus", "bool-m", "float-exponent", "bool-index",
             "delta-a-string", "delta-an-object", "missing-f", "f-a-string", "node-pair-a-string",
             "ev-row-a-string", "derivs-row-a-string", "points-an-object", "components-a-string",
-            "term-list-an-object", "G-a-string", "bool-version",
+            "term-list-an-object", "G-a-string", "bool-version", "term-without-coeff",
+            "term-a-list", "exps-a-number",
         ],
     )
-    def test_malformed_value_is_bad_input(self, capsys, tmp_path, data):
+    def test_malformed_value_is_bad_input(self, capsys, tmp_path, request, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, **data}))
         command = "localmodel" if "local_model" in data else "check"
         code, out, err = run_cli(capsys, command, str(path))
         assert_bad_input(code, out, err)
+        if request.node.callspec.id in TERM_ERRORS:
+            assert err == f"error: {TERM_ERRORS[request.node.callspec.id]}\n"
 
     @pytest.mark.parametrize(
         "pair, count",
@@ -331,6 +346,15 @@ class TestDims:
                 capsys, "dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", str(spec_path)
             )
             assert_bad_input(code, out, err)
+        for spec, message in (
+            ({"N": 3, "h": 0, "parts": parts}, "ghost genus must be >= 1"),
+            ({"N": 3, "h": 4, "parts": [[-1, 1]]}, "parts need g_i >= 0 and d_i >= 1"),
+            ({"N": 3, "h": 4, "parts": []}, "need at least one attached part"),
+        ):
+            spec_path.write_text(json.dumps(spec))
+            assert run_cli(
+                capsys, "dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", str(spec_path)
+            ) == (EXIT_BAD_INPUT, "", f"error: stratum spec {spec_path}: {message}\n")
 
 
 class TestLocalModel:
@@ -418,27 +442,29 @@ class TestSelftest:
         assert lines[-1] == "selftest: 9/9 criteria passed"
         assert all(line.startswith("PASS") for line in lines[:-1])
 
-    def test_sabotaged_residue_fails_named_criterion(self, capsys, monkeypatch):
-        from ghostcheck.localmodel import ResidueReport
+    def test_sabotaged_residue_fails_named_criterion(self, monkeypatch):
         from ghostcheck.localmodel import verify_residue_theorem as original
 
-        def sign_flipped(ghost_map, m):
+        def residue_flipped(ghost_map, m):
+            """The engine's report with the w^-1 coefficient of each node restriction negated."""
             report = original(ghost_map, m)
-            if all(v == 0 for v in report.expected_residue):
-                return report
-            return ResidueReport(
-                m=report.m,
-                expected_residue=tuple(-v for v in report.expected_residue),
-                expansion=report.expansion,
-                failures=("residue sign flipped",),
-            )
+            levels = []
+            for lvl in report.expansion.levels:
+                node, *rest = lvl.components
+                flipped = tuple(
+                    LaurentPoly(r.variables, {e: -c if e == (-1,) else c for e, c in r.terms.items()})
+                    for r in node.restriction
+                )
+                levels.append(replace(lvl, components=(replace(node, restriction=flipped), *rest)))
+            return replace(report, expansion=replace(report.expansion, levels=tuple(levels)))
 
-        monkeypatch.setattr(selftest_module, "verify_residue_theorem", sign_flipped)
-        code, out, _ = run_cli(capsys, "selftest")
-        assert code == EXIT_SELFTEST_FAILED
-        assert any(
-            line.startswith("FAIL residue-leading-term") for line in out.splitlines()
+        monkeypatch.setattr(selftest_module, "verify_residue_theorem", residue_flipped)
+        assert selftest_module.check_residue_leading_term() == (
+            False, "m=1 level 1 C_tilde: chart restriction disagrees with the chart pullback"
         )
+        criterion = next(c for c in selftest_module.CRITERIA if c.name == "residue-leading-term")
+        result = selftest_module.run_criterion(criterion)
+        assert (result.name, result.passed) == ("residue-leading-term", False)
 
     def test_json_output(self, capsys, monkeypatch):
         quick = (
