@@ -220,16 +220,21 @@ def local_model_from_json(data: Mapping, where: str = "local_model") -> LocalMod
                 len(terms) <= MAX_LOCAL_TERMS,
                 f"{where}: G[{k}] has {len(terms)} terms, over the limit {MAX_LOCAL_TERMS}",
             )
-            poly = LaurentPoly(XYT, [_term(item, f"{where}.G[{k}][{i}]") for i, item in enumerate(terms)])
-            components.append(normal_form_xyt(poly, m))
+            components.append(normal_form_xyt(poly_from_json(XYT, terms, f"{where}.G[{k}]"), m))
         return LocalModelInput(m=m, components=tuple(components))
     except (ValueError, TypeError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 
-def _term(data: Any, where: str) -> tuple:
-    """One term ``{"exps": [...], "coeff": ...}`` as (exponents, coefficient)."""
-    return tuple(integer(k) for k in _get_list(data, "exps", where)), rat(_get(data, "coeff", where))
+def poly_from_json(variables: Sequence[str], terms: list, where: str) -> LaurentPoly:
+    """A polynomial from its terms ``{"exps": [...], "coeff": ...}``; term i
+    is located at ``where[i]``. A value error of an entry propagates for the
+    caller to locate."""
+    items = []
+    for i, item in enumerate(terms):
+        at = f"{where}[{i}]"
+        items.append((tuple(integer(k) for k in _get_list(item, "exps", at)), rat(_get(item, "coeff", at))))
+    return LaurentPoly(variables, items)
 
 
 @dataclass(frozen=True)

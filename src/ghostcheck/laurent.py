@@ -305,9 +305,3 @@ def normal_form_xyt(poly: LaurentPoly, m: int) -> LaurentPoly:
             out.pop(e, None)
     return LaurentPoly(poly.variables, out)
 
-
-def poly_from_json(variables: Sequence[str], data: Iterable[Mapping]) -> LaurentPoly:
-    terms = []
-    for item in data:
-        terms.append((tuple(integer(k) for k in item["exps"]), rat(item["coeff"])))
-    return LaurentPoly(variables, terms)

@@ -2,9 +2,9 @@
 
 Each criterion is exact (zero tolerance) and carries a wall-clock budget.
 The checks pit the engines against independent oracles: chart-by-chart
-substitution for the chain restrictions and hand-evaluated fixtures for the
-dimension counts; every kernel witness must pass the rank inequality.
-``brute_force_passing_subsets`` is the tests' reference for the subset scan.
+substitution for the chain restrictions with their pole orders and
+residues, and hand-evaluated fixtures for the dimension counts; every
+kernel witness must pass the rank inequality.
 Details in the results never include timings, so repeated runs print
 identical bytes.
 """
@@ -15,7 +15,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable
 
 from .curves import NodalRationalModel
@@ -65,17 +64,6 @@ class Criterion:
 
 
 # -- independent oracles ------------------------------------------------------
-
-
-def brute_force_passing_subsets(problem: ObstructionProblem) -> list[tuple[int, ...]]:
-    """All nonempty subsets satisfying the rank inequality, by plain enumeration."""
-    n = problem.n_points
-    out = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            if rank_inequality_holds(problem, subset):
-                out.append(subset)
-    return out
 
 
 def oracle_chain_restrictions(
@@ -231,20 +219,21 @@ def check_residue_leading_term() -> tuple[bool, str]:
         for _ in range(20):
             components = _admissible_ghost_map(rng, rng.randint(1, 3), m)
             report = verify_residue_theorem(components, m)
-            for coord, comp_poly in enumerate(components):
-                oracle = oracle_chain_restrictions(comp_poly, m)
-                for lvl in report.expansion.levels:
-                    for record in lvl.components:
-                        j = m if record.name == "C_tilde" else int(record.name.split("_")[1])
-                        got = {
-                            e[0]: c
-                            for e, c in record.restriction[coord].terms.items()
-                        }
-                        if got != oracle.get((lvl.level, j), {}):
-                            return False, (
-                                f"m={m} level {lvl.level} {record.name}: chart restriction "
-                                f"disagrees with the chart pullback"
-                            )
+            oracles = [oracle_chain_restrictions(comp_poly, m) for comp_poly in components]
+            for lvl in report.expansion.levels:
+                for record in lvl.components:
+                    j = m if record.name == "C_tilde" else int(record.name.split("_")[1])
+                    want = [oracle.get((lvl.level, j), {}) for oracle in oracles]
+                    got = [{e[0]: c for e, c in r.terms.items()} for r in record.restriction]
+                    where = f"m={m} level {lvl.level} {record.name}"
+                    if got != want:
+                        return False, f"{where}: chart restriction disagrees with the chart pullback"
+                    pole = max(0, -min((e for terms in want for e in terms), default=0))
+                    if pole > 1:
+                        return False, f"{where}: pole of order {pole}"
+                    residue = tuple(terms.get(-1, Fraction(0)) for terms in want)
+                    if (record.pole_order, record.residue) != (pole, residue):
+                        return False, f"{where}: pole order or residue disagrees with the chart pullback"
             checked += 1
     return True, f"{checked} admissible maps: poles simple, residues exact, oracle agrees"
 

@@ -15,6 +15,7 @@ from ghostcheck.cli import (
     EXIT_BAD_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_SELFTEST_FAILED,
     main,
 )
 from ghostcheck.selftest import Criterion
@@ -465,6 +466,46 @@ class TestSelftest:
         criterion = next(c for c in selftest_module.CRITERIA if c.name == "residue-leading-term")
         result = selftest_module.run_criterion(criterion)
         assert (result.name, result.passed) == ("residue-leading-term", False)
+
+    def test_sabotaged_residue_field_fails_named_criterion(self, monkeypatch):
+        from ghostcheck.localmodel import verify_residue_theorem as original
+
+        def residue_field_flipped(ghost_map, m):
+            """The engine's report with each node's recorded residue negated, restrictions kept."""
+            report = original(ghost_map, m)
+            levels = []
+            for lvl in report.expansion.levels:
+                node, *rest = lvl.components
+                flipped = replace(node, residue=tuple(-r for r in node.residue))
+                levels.append(replace(lvl, components=(flipped, *rest)))
+            return replace(report, expansion=replace(report.expansion, levels=tuple(levels)))
+
+        monkeypatch.setattr(selftest_module, "verify_residue_theorem", residue_field_flipped)
+        assert selftest_module.check_residue_leading_term() == (
+            False, "m=1 level 1 C_tilde: pole order or residue disagrees with the chart pullback"
+        )
+
+    def test_failing_criterion_exit_code_and_report(self, capsys, monkeypatch):
+        failing = (
+            Criterion("always-passes", 5.0, lambda: (True, "ok")),
+            Criterion("always-fails", 5.0, lambda: (False, "x")),
+        )
+        monkeypatch.setattr(selftest_module, "CRITERIA", failing)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == EXIT_SELFTEST_FAILED
+        assert out.splitlines() == [
+            "PASS always-passes: ok",
+            "FAIL always-fails: x",
+            "selftest: 1/2 criteria passed",
+        ]
+        code, out, _ = run_cli(capsys, "selftest", "--json")
+        assert code == EXIT_SELFTEST_FAILED
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert [(c["name"], c["passed"], c["detail"]) for c in report["criteria"]] == [
+            ("always-passes", True, "ok"),
+            ("always-fails", False, "x"),
+        ]
 
     def test_json_output(self, capsys, monkeypatch):
         quick = (

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostcheck.exact import rat_to_str
+from ghostcheck.jsonio import poly_from_json
 from ghostcheck.laurent import (
     LaurentPoly,
     LaurentVariableMismatch,
     MissingSubstitutionImage,
     normal_form_xyt,
-    poly_from_json,
     restrict_to_axis,
     substitute,
 )
@@ -234,4 +234,4 @@ class TestSerialization:
                 terms[e] = terms.get(e, 0) + Fraction(rng.randint(-50, 50), rng.randint(1, 9))
             p = LaurentPoly(ZW, terms)
             data = [{"exps": list(e), "coeff": rat_to_str(c)} for e, c in p.sorted_terms()]
-            assert poly_from_json(ZW, data) == p
+            assert poly_from_json(ZW, data, "p") == p

@@ -26,8 +26,8 @@ from ghostcheck.obstruction import (
     subset_ranks,
     theorem_check,
 )
-from ghostcheck.selftest import brute_force_passing_subsets
 from matrix_oracle import oracle_rank
+from obstruction_oracle import brute_force_passing_subsets
 
 
 def problem(genus, ambient, columns):
