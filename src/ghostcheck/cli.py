@@ -128,7 +128,9 @@ def cmd_dims(args):
     if args.stratum:
         spec = load_stratum_spec(args.stratum)
         if spec.ambient_dim != args.N:
-            raise InputError("stratum spec N differs from --N")
+            raise InputError(
+                f"stratum spec {args.stratum}: N = {spec.ambient_dim} differs from --N {args.N}"
+            )
         stratum = dim_stratum(spec)
         report["stratum"] = {
             "h": spec.ghost_genus,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
@@ -70,15 +70,9 @@ def rat_vector(values: Iterable[RatLike]) -> tuple[Fraction, ...]:
 
 def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same line)."""
-    if not vec:
-        return ()
-    scale = 1
-    for v in vec:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (scale // v.denominator) for v in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
@@ -136,9 +130,7 @@ class IntEchelon:
         v = self.reduced(vec)
         if not any(v):
             return self
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         if g > 1:
             v = [x // g for x in v]
         pivot = next(i for i, x in enumerate(v) if x)
@@ -174,15 +166,6 @@ class QMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[RatLike]]) -> "QMatrix":
-        cols = [rat_vector(c) for c in columns]
-        if not cols:
-            raise ValueError("need at least one column")
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
 
     # -- basic accessors ------------------------------------------------
 

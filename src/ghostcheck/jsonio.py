@@ -251,13 +251,15 @@ def problem_file_from_json(data: Any) -> ProblemFile:
         f"unsupported format version {version!r}",
     )
     components: tuple[ObstructionProblem, ...] = ()
+    top_level = "points" in data or "curve_model" in data
     if "components" in data:
+        _require(not top_level, "components and a top-level problem are both given")
         raw = data["components"]
         _require(isinstance(raw, list) and raw, "components must be a nonempty list")
         components = tuple(
             problem_from_json(entry, f"components[{i}]") for i, entry in enumerate(raw)
         )
-    elif "points" in data or "curve_model" in data:
+    elif top_level:
         components = (problem_from_json(data, "problem"),)
     local_model = None
     if "local_model" in data:

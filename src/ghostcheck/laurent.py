@@ -106,22 +106,8 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(all(k == 0 for k in e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (zero included)."""
-        if not self.is_constant:
-            raise ValueError(f"not a constant polynomial: {self!r}")
-        zero_exps = (0,) * len(self.variables)
-        return self.terms.get(zero_exps, Fraction(0))
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def min_exponent(self, var: str) -> int | None:
-        """Smallest exponent of ``var`` over all terms; None for the zero polynomial."""
-        idx = self.variables.index(var)
-        if not self.terms:
-            return None
-        return min(e[idx] for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))

@@ -105,16 +105,13 @@ def chart(m: int, j: int) -> Chart:
         raise LocalModelError("m must be >= 1")
     if not 0 <= j <= m - 1:
         raise LocalModelError(f"chart index {j} out of range for m = {m}")
-    ch = Chart(
+    return Chart(
         m=m,
         index=j,
         x=LaurentPoly.monomial(ZW, (j + 1, j)),
         y=LaurentPoly.monomial(ZW, (m - 1 - j, m - j)),
         t=LaurentPoly.monomial(ZW, (1, 1)),
     )
-    if ch.x * ch.y != LaurentPoly.monomial(ZW, (m, m)):  # t^m = (zw)^m
-        raise AssertionError("chart parametrization violates x*y = t^m; this is a bug")
-    return ch
 
 
 @dataclass(frozen=True)

@@ -122,17 +122,13 @@ def obstruction_matrix(problem: ObstructionProblem) -> QMatrix:
     yields exactly these rows, so its kernel is the kernel of the geometric
     map.
     """
-    g, big_n = problem.genus, problem.ambient_dim
-    columns = []
-    for p in problem.points:
-        col = [Fraction(0)] * (g * big_n)
-        for a in range(g):
-            ea = p.delta[a]
-            if ea:
-                for b in range(big_n):
-                    col[a * big_n + b] = ea * p.deriv[b]
-        columns.append(col)
-    return QMatrix.from_columns(columns)
+    return QMatrix(
+        [
+            [p.delta[a] * p.deriv[b] for p in problem.points]
+            for a in range(problem.genus)
+            for b in range(problem.ambient_dim)
+        ]
+    )
 
 
 def theorem_check(problem: ObstructionProblem) -> TheoremVerdict:
@@ -191,22 +187,20 @@ def _first_witness_of_size(
 
 
 def _minimal_witness(
-    problem: ObstructionProblem, vcols: Sequence[tuple[int, ...]], ecols: Sequence[tuple[int, ...]]
+    vcols: Sequence[tuple[int, ...]], ecols: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """The (|D|, lex)-minimal passing subset of a problem known to have one.
 
     All nonempty subsets are covered, smallest cardinality first; within a
     cardinality class the scan is lexicographic and stops at the first
-    witness, which is re-checked with exact ranks.
+    witness.
     """
-    n = problem.n_points
+    n = len(vcols)
     if n > MAX_SUBSET_POINTS:
         raise TooManyPoints(f"{n} attachment points exceed the cap of {MAX_SUBSET_POINTS}")
     for size in range(1, n + 1):
         witness = _first_witness_of_size(size, n, vcols, ecols)
         if witness is not None:
-            if not rank_inequality_holds(problem, witness):
-                raise AssertionError("subset scan and exact ranks disagree; this is a bug")
             return witness
     raise AssertionError("matroid partition and subset scan disagree on the verdict; this is a bug")
 
@@ -385,7 +379,7 @@ def corollary_check(problem: ObstructionProblem) -> CorollaryVerdict:
         if splits is not None:
             _check_splits(vcols, ecols, splits)
             return CorollaryVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, None)
-    return CorollaryVerdict(Verdict.INCONCLUSIVE, _minimal_witness(problem, vcols, ecols))
+    return CorollaryVerdict(Verdict.INCONCLUSIVE, _minimal_witness(vcols, ecols))
 
 
 def kernel_to_witness_d(

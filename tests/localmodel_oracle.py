@@ -71,8 +71,7 @@ def oracle_expand_ghost(
                 restricted, along = restrict_to_axis(view.pullback(g), "z")
                 if along > 0:
                     raise UnexpectedPole(level, name, "pole along the whole component")
-                min_exp = restricted.min_exponent("w")
-                order = max(0, -(min_exp if min_exp is not None else 0))
+                order = max(0, -min((e[0] for e in restricted.terms), default=0))
                 max_exp = max((e[0] for e in restricted.terms), default=0)
                 if j < m and max_exp > 0:
                     raise UnexpectedPole(level, name, f"pole of order {max_exp} at the far node p_{j + 1}")
@@ -112,9 +111,9 @@ def oracle_expand_ghost(
                         levels_completed=levels,
                     )
             if not seeded:
-                values = [r.constant_value() for r in record.restriction]
+                values = [r.coefficient((0,)) for r in record.restriction]
                 seeded = True
-            elif [r.constant_value() for r in record.restriction] != values:
+            elif [r.coefficient((0,)) for r in record.restriction] != values:
                 raise NonConstantLevel(
                     level + 1,
                     record.name,

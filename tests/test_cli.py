@@ -87,6 +87,21 @@ class TestCheck:
         assert code == EXIT_OK
         assert json.loads(out)["map_verdict"] == "NotEventuallySmoothable"
 
+    def test_components_beside_a_top_level_problem(self, capsys, tmp_path):
+        fire = {"genus": 1, "ambient_dim": 1, "points": [{"delta": ["1"], "deriv": ["1"]}]}
+        model = {"curve_model": {"type": "raw", "genus": 1, "ev_matrix": [["1"]]},
+                 "attachments": [{"index": 0}], "derivs": [["1"]]}
+        path = tmp_path / "both.json"
+        for top in (fire, model):
+            path.write_text(json.dumps({"components": [fire], **top}))
+            assert run_cli(capsys, "check", str(path)) == (
+                EXIT_BAD_INPUT, "", "error: components and a top-level problem are both given\n"
+            )
+        local = {"m": 1, "G": [[]]}
+        for content in ({"components": [fire], "local_model": local}, {**fire, "local_model": local}):
+            path.write_text(json.dumps(content))
+            assert run_cli(capsys, "check", str(path))[0] == EXIT_OK
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -356,6 +371,13 @@ class TestDims:
             assert run_cli(
                 capsys, "dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", str(spec_path)
             ) == (EXIT_BAD_INPUT, "", f"error: stratum spec {spec_path}: {message}\n")
+
+    def test_stratum_n_differs_from_the_argument(self, capsys, tmp_path):
+        spec_path = tmp_path / "stratum.json"
+        spec_path.write_text(json.dumps({"N": 2, "h": 4, "parts": [[0, 1]] * 12}))
+        assert run_cli(
+            capsys, "dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", str(spec_path)
+        ) == (EXIT_BAD_INPUT, "", f"error: stratum spec {spec_path}: N = 2 differs from --N 3\n")
 
 
 class TestLocalModel:

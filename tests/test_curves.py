@@ -20,8 +20,8 @@ from ghostcheck.factory import _hyperelliptic_star_model
 
 
 def ev_rank(model, points) -> int:
-    """Rank of the evaluation covectors of ``points``, one column each."""
-    return QMatrix.from_columns([model.ev_vector(p) for p in points]).rank()
+    """Rank of the evaluation covectors of ``points``, one row each."""
+    return QMatrix([model.ev_vector(p) for p in points]).rank()
 
 
 class TestHyperellipticModel:

@@ -90,6 +90,13 @@ class TestRat:
         assert integerize((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert integerize((Fraction(0), Fraction(0))) == (0, 0)
         assert integerize((Fraction(4), Fraction(6))) == (2, 3)
+        assert integerize(()) == ()
+        assert integerize((Fraction(-1, 2), Fraction(-1, 3))) == (-3, -2)
+        assert integerize((Fraction(-4, 3), Fraction(0), Fraction(2, 9))) == (-6, 0, 1)
+        # denominators 6, 10 and 15 share factors pairwise; their lcm is 30
+        assert integerize((Fraction(1, 6), Fraction(-3, 10), Fraction(2, 15))) == (5, -9, 4)
+        big = 10**29 + 7
+        assert integerize((Fraction(1, big), Fraction(-2, 3))) == (3, -2 * big)
 
 
 class TestIntEchelonOf:
@@ -145,8 +152,8 @@ class TestQMatrix:
         assert m.matvec([1, 0]) == (Fraction(1), Fraction(3))
         assert matmul(m, identity(2)) == m
 
-    def test_from_columns(self):
-        m = QMatrix.from_columns([[1, 2], [3, 4]])
+    def test_column(self):
+        m = QMatrix([[1, 3], [2, 4]])
         assert m.column(0) == (Fraction(1), Fraction(2))
         assert m.column(1) == (Fraction(3), Fraction(4))
 

@@ -177,7 +177,7 @@ class TestLineStarInstance:
             h = rng.randint(1, 8)
             model = NodalRationalModel(h, [(2 * j, 2 * j + 1) for j in range(h)])
             params = rng.sample(range(2 * h, 2 * h + rng.choice((h, 40, 10**6))), h)
-            assert oracle_rank(QMatrix.from_columns([model.ev_vector(p) for p in params])) == h
+            assert oracle_rank(QMatrix([model.ev_vector(p) for p in params])) == h
 
 
 class TestRandomInstance:

@@ -58,6 +58,21 @@ class TestObstructionMatrix:
             for b in range(3):
                 assert col[a * 3 + b] == p.points[0].delta[a] * p.points[0].deriv[b]
 
+    def test_fractional_points_with_zero_covector_entries(self):
+        columns = [
+            (("1/2", "0", "-3"), ("2/3", "-1/4")),
+            (("0", "0", "5/7"), ("0", "9")),
+            (("-4/9", "1", "0"), ("3/2", "1/6")),
+            (("0", "0", "0"), ("1", "-1")),
+        ]
+        p = problem(3, 2, columns)
+        expected = tuple(
+            tuple(pt.delta[a] * pt.deriv[b] for pt in p.points)
+            for a in range(3)
+            for b in range(2)
+        )
+        assert obstruction_matrix(p).entries == expected
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             problem(2, 2, [((1,), (0, 1))])
@@ -267,7 +282,7 @@ class TestSubsetRanks:
             p = problem(g, big_n, columns)
             subset = [rng.randrange(n) for _ in range(rng.randint(1, n + 2))]
             expected = tuple(
-                oracle_rank(QMatrix.from_columns([getattr(p.points[i], side) for i in subset]))
+                oracle_rank(QMatrix([getattr(p.points[i], side) for i in subset]))
                 for side in ("deriv", "delta")
             )
             assert subset_ranks(p, subset) == expected
