@@ -9,13 +9,18 @@ denominator, structural equality), serialized as ``"a/b"`` or ``"a"``.
 
 One fraction-free integer echelon, ``IntEchelon``, does every elimination,
 and ``IntEchelon.of`` is the one routine that inserts vectors until the
-rank is full: ``QMatrix.rank`` and ``QMatrix.kernel_basis`` call it on the
-rows scaled to integers, and ``ghostcheck.obstruction`` and
-``ghostcheck.factory`` call it on integerized columns. The subset scan
-grows one echelon point by point with ``IntEchelon.inserted``, and the
-matroid partition reads fundamental circuits off ``IntEchelon.reduced``.
-No ``Fraction`` is divided during elimination; only the kernel's
-back-substitution returns to the rationals.
+rank is full. Once a vector proves dependent at half rank or more, it
+holds the echelon's integer kernel basis and skips, without reducing them,
+the vectors orthogonal to it, which are exactly those already in the span.
+``QMatrix.rank`` and ``QMatrix.kernel_basis`` call it on the rows scaled to
+integers, ``ghostcheck.obstruction`` on the theorem's integer rows and on
+integerized columns, and ``ghostcheck.factory`` on integerized columns. The
+subset scan grows one echelon point by point with ``IntEchelon.inserted``,
+and the matroid partition reads fundamental circuits off
+``IntEchelon.reduced``. ``IntEchelon.kernel_vector`` is the one
+back-substitution, fraction-free as well. No ``Fraction`` is divided during
+elimination; a kernel vector returns to the rationals only when it is
+divided by its free coordinate.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
@@ -100,12 +106,28 @@ class IntEchelon:
 
         Insertion stops once the rank equals the vectors' length: no later
         vector can change a full-rank span, so the rest are never read.
+        Once a vector turns out dependent at half rank or more, the
+        echelon's integer kernel basis is held until the next independent
+        vector, and every vector orthogonal to all of it is skipped: over Q
+        the row space is the kernel's orthogonal complement, so those are
+        exactly the vectors ``inserted`` would return the echelon unchanged
+        for. From half rank on, ``width - rank`` dot products cost less
+        than ``rank`` reduction steps.
         """
         echelon = cls()
+        kernel = None
         for vec in vectors:
-            echelon = echelon.inserted(vec)
-            if echelon.rank == len(vec):
-                break
+            if kernel is not None and not any(sum(map(mul, vec, k)) for k in kernel):
+                continue
+            grown = echelon.inserted(vec)
+            width = len(vec)
+            if grown.rank == width:
+                return grown
+            if grown is not echelon:
+                echelon, kernel = grown, None
+            elif kernel is None and 2 * echelon.rank >= width:
+                pivots = set(echelon.pivots)
+                kernel = [echelon.kernel_vector(f, width) for f in range(width) if f not in pivots]
         return echelon
 
     @property
@@ -141,6 +163,31 @@ class IntEchelon:
         new.rows = self.rows[:pos] + [tuple(v)] + self.rows[pos:]
         new.pivots = self.pivots[:pos] + [pivot] + self.pivots[pos:]
         return new
+
+    def kernel_vector(self, f: int, width: int) -> list[int]:
+        """Primitive integer kernel vector of the rows for the free column ``f``.
+
+        ``v[f]`` is positive, the other free columns are 0, and every row's
+        dot product with ``v`` is 0, so ``v / v[f]`` is the kernel vector
+        read off the reduced row echelon form. Rows with a pivot right of
+        ``f`` force their pivot coordinates to 0; the rows left of it are
+        solved bottom-up without division: each step scales the solution so
+        far by the row's pivot over its gcd with the rest of the row's sum,
+        just enough for the new coordinate to be an integer.
+        """
+        k = bisect_left(self.pivots, f)
+        v = [0] * width
+        v[f] = 1
+        for i in reversed(range(k)):
+            row, p = self.rows[i], self.pivots[i]
+            acc = sum(row[c] * v[c] for c in self.pivots[i + 1 : k]) + row[f] * v[f]
+            g = gcd(acc, row[p])
+            scale = row[p] // g
+            if scale > 1:
+                v = [x * scale for x in v]
+            v[p] = -(acc // g)
+        content = gcd(*v)
+        return v if content == 1 else [x // content for x in v]
 
 
 class QMatrix:
@@ -211,25 +258,14 @@ class QMatrix:
         One basis vector per free column, in ascending column order; the
         free coordinate is set to 1 and pivot coordinates are the negated
         reduced-row-echelon entries of that column, so ``self.matvec(v)`` is
-        exactly zero. Those entries solve the echelon's triangular system on
-        the pivot columns left of the free column by back-substitution.
+        exactly zero. Each is ``IntEchelon.kernel_vector`` divided by its
+        free coordinate.
         """
         echelon = self._echelon()
-        rows, pivots = echelon.rows, echelon.pivots
-        pivot_set = set(pivots)
+        pivots = set(echelon.pivots)
         basis = []
         for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            k = bisect_left(pivots, f)
-            reduced = [Fraction(0)] * k
-            for i in reversed(range(k)):
-                row = rows[i]
-                acc = Fraction(row[f]) - sum(row[pivots[j]] * reduced[j] for j in range(i + 1, k))
-                reduced[i] = acc / row[pivots[i]]
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for i in range(k):
-                v[pivots[i]] = -reduced[i]
-            basis.append(tuple(v))
+            if f not in pivots:
+                v = echelon.kernel_vector(f, self.cols)
+                basis.append(tuple(Fraction(x, v[f]) for x in v))
         return basis

@@ -3,13 +3,16 @@
 A problem consists of, per attachment point, an evaluation covector
 (length g, representing the curve-side connecting map dually) and a
 derivative vector (length N, the effective-map derivative at the point in
-coordinates on the target tangent space). The engine builds the g*N x n
-matrix whose column i is the flattened outer product delta_i (x) deriv_i
-and decides two one-directional verdicts:
+coordinates on the target tangent space). Column i of the g*N x n
+obstruction matrix is the flattened outer product delta_i (x) deriv_i, and
+the engine decides two one-directional verdicts:
 
 - injectivity test: full column rank means the map cannot be a limit of
   maps with smooth domains ("NotEventuallySmoothable"); otherwise the
-  verdict is "Inconclusive" and a kernel vector is reported;
+  verdict is "Inconclusive" and a kernel vector is reported. It eliminates
+  integer rows built from the integerized covector and derivative rows,
+  each a positive multiple of a row of the matrix, and back-substitutes
+  only the reported kernel vector;
 - subset rank test: if some nonempty subset D of the points satisfies
   rank(derivs in D) + rank(covectors in D) <= |D|, the test is
   inconclusive with witness D; if no subset does, the verdict is
@@ -33,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import IntEchelon, QMatrix, RatLike, integer, integerize, rat_vector
@@ -132,12 +136,24 @@ def obstruction_matrix(problem: ObstructionProblem) -> QMatrix:
 
 
 def theorem_check(problem: ObstructionProblem) -> TheoremVerdict:
-    """Injectivity verdict: obstructed iff the matrix has full column rank."""
-    basis = obstruction_matrix(problem).kernel_basis()
-    rank = problem.n_points - len(basis)
-    if not basis:
-        return TheoremVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, rank, None)
-    return TheoremVerdict(Verdict.INCONCLUSIVE, rank, basis[0])
+    """Injectivity verdict: obstructed iff the matrix has full column rank.
+
+    Row (a, b) is eliminated as the elementwise product of the integerized
+    covector row (delta_1[a], ..., delta_n[a]) and the integerized
+    derivative row b. It is a positive multiple of ``obstruction_matrix``
+    row a*N + b, so the rank and the reduced-row-echelon kernel are the
+    matrix's. Only the first kernel vector is back-substituted: it
+    is the witness the report shows.
+    """
+    points = problem.points
+    deltas = [integerize([p.delta[a] for p in points]) for a in range(problem.genus)]
+    derivs = [integerize([p.deriv[b] for p in points]) for b in range(problem.ambient_dim)]
+    echelon = IntEchelon.of(tuple(map(mul, d, v)) for d in deltas for v in derivs)
+    if echelon.rank == problem.n_points:
+        return TheoremVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, echelon.rank, None)
+    f = next((i for i, p in enumerate(echelon.pivots) if p != i), echelon.rank)
+    v = echelon.kernel_vector(f, problem.n_points)
+    return TheoremVerdict(Verdict.INCONCLUSIVE, echelon.rank, tuple(Fraction(x, v[f]) for x in v))
 
 
 def subset_ranks(problem: ObstructionProblem, subset: Sequence[int]) -> tuple[int, int]:

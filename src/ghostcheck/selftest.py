@@ -4,7 +4,9 @@ Each criterion is exact (zero tolerance) and carries a wall-clock budget.
 The checks pit the engines against independent oracles: chart-by-chart
 substitution for the chain restrictions with their pole orders and
 residues, and hand-evaluated fixtures for the dimension counts; every
-kernel witness must pass the rank inequality.
+theorem rank and kernel witness must equal those read off the obstruction
+matrix's kernel basis, and every kernel witness must pass the rank
+inequality.
 Details in the results never include timings, so repeated runs print
 identical bytes.
 """
@@ -192,10 +194,16 @@ def check_kernel_witness_subsets() -> tuple[bool, str]:
         return False, f"only {len(corpus)} kernel instances generated"
     for idx, problem in enumerate(corpus):
         theorem = theorem_check(problem)
+        basis = obstruction_matrix(problem).kernel_basis()
+        if (theorem.rank, theorem.kernel_witness) != (problem.n_points - len(basis), basis[0]):
+            return False, f"instance {idx}: rank or witness differs from the matrix's kernel basis"
         witness_d = kernel_to_witness_d(problem, theorem.kernel_witness)
         if not rank_inequality_holds(problem, witness_d):
             return False, f"instance {idx}: derived D fails the rank inequality"
-    return True, f"{len(corpus)} kernel witnesses all map to valid subsets"
+    return True, (
+        f"{len(corpus)} kernel witnesses equal the matrix's first kernel vector "
+        "and map to valid subsets"
+    )
 
 
 def check_soundness_ordering() -> tuple[bool, str]:

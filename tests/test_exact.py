@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,36 @@ class TestRat:
         assert integerize((Fraction(1, big), Fraction(-2, 3))) == (3, -2 * big)
 
 
+def plain_insert_loop(vectors):
+    """``IntEchelon.of`` without its kernel skip: insert every vector until the rank is full."""
+    echelon = IntEchelon()
+    for vec in vectors:
+        echelon = echelon.inserted(vec)
+        if echelon.rank == len(vec):
+            break
+    return echelon
+
+
+@st.composite
+def dependent_lists(draw):
+    """Up to 30 vectors, most of them integer combinations of a few base
+    vectors (zero included), with a fresh vector now and then. Half the
+    entries are 0, so that a fresh vector is often orthogonal to some but
+    not all of a kernel basis."""
+    width = draw(st.integers(1, 8))
+    entries = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=width, max_size=width)
+    base = draw(st.lists(entries, min_size=1, max_size=width))
+    coefficients = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    vectors = []
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.integers(0, 5)) == 0:
+            vectors.append(tuple(draw(entries)))
+        else:
+            c = draw(coefficients)
+            vectors.append(tuple(sum(ci * b[j] for ci, b in zip(c, base)) for j in range(width)))
+    return vectors
+
+
 class TestIntEchelonOf:
     def test_stops_reading_at_full_rank(self):
         def vectors():
@@ -112,6 +144,38 @@ class TestIntEchelonOf:
     def test_deficient_and_empty(self):
         assert IntEchelon.of([(1, 2, 3), (2, 4, 6), (0, 0, 0)]).rank == 1
         assert IntEchelon.of([]).rank == 0
+
+    def test_skips_vectors_orthogonal_to_the_kernel(self, monkeypatch):
+        # the first (1, 1, 0) is reduced and found dependent at rank 2 of 3,
+        # which fetches the kernel (0, 0, 1); its copies are never reduced
+        calls = []
+        inserted = IntEchelon.inserted
+
+        def counted(self, vec):
+            calls.append(vec)
+            return inserted(self, vec)
+
+        monkeypatch.setattr(IntEchelon, "inserted", counted)
+        vectors = [(1, 0, 0), (0, 1, 0)] + [(1, 1, 0)] * 5 + [(0, 0, 1)]
+        assert IntEchelon.of(vectors).rank == 3
+        assert calls == [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+
+    @given(dependent_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_plain_insert_loop(self, vectors):
+        echelon, plain = IntEchelon.of(vectors), plain_insert_loop(vectors)
+        assert (echelon.rows, echelon.pivots) == (plain.rows, plain.pivots)
+
+    @given(dependent_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_vectors_are_orthogonal_to_every_row(self, vectors):
+        echelon, width = IntEchelon.of(vectors), len(vectors[0])
+        free = [f for f in range(width) if f not in echelon.pivots]
+        for f in free:
+            v = echelon.kernel_vector(f, width)
+            assert all(sum(map(mul, row, v)) == 0 for row in echelon.rows)
+            assert v[f] > 0 and not any(v[c] for c in free if c != f)
+            assert gcd(*v) == 1
 
 
 class TestQMatrix:

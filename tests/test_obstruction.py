@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ghostcheck.obstruction as obstruction_module
 from ghostcheck.cli import EXIT_INTERNAL, main
-from ghostcheck.exact import QMatrix
+from ghostcheck.exact import IntEchelon, QMatrix
 from ghostcheck.factory import random_instance
 from ghostcheck.jsonio import dump_json, problem_to_json
 from ghostcheck.obstruction import (
@@ -17,6 +17,7 @@ from ghostcheck.obstruction import (
     CorollaryVerdict,
     NotAKernelVector,
     ObstructionProblem,
+    TheoremVerdict,
     TooManyPoints,
     Verdict,
     corollary_check,
@@ -26,7 +27,7 @@ from ghostcheck.obstruction import (
     subset_ranks,
     theorem_check,
 )
-from matrix_oracle import oracle_rank
+from matrix_oracle import oracle_kernel_basis, oracle_rank
 from obstruction_oracle import brute_force_passing_subsets
 
 
@@ -118,25 +119,88 @@ class TestTheoremCheck:
             fired = verdict.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE
             assert fired == (verdict.rank == p.n_points)
 
-    @pytest.mark.parametrize("n_points", [3, 9])
-    def test_eliminates_once(self, monkeypatch, n_points):
+    def test_builds_no_fraction_matrix(self, monkeypatch):
         # g*N = 4 rows: three points give full rank, nine points a kernel
+        full, kernel = random_instance(17, 2, 2, 3), random_instance(17, 2, 2, 9)
+        expected_witness = oracle_kernel_basis(obstruction_matrix(kernel))[0]
+
+        def forbidden(*args):
+            raise AssertionError("theorem_check built the Fraction matrix")
+
+        monkeypatch.setattr(obstruction_module, "obstruction_matrix", forbidden)
+        monkeypatch.setattr(QMatrix, "rank", forbidden)
+        monkeypatch.setattr(QMatrix, "kernel_basis", forbidden)
+        assert theorem_check(full) == TheoremVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, 3, None)
+        assert theorem_check(kernel) == TheoremVerdict(Verdict.INCONCLUSIVE, 4, expected_witness)
+
+    def test_skips_rows_orthogonal_to_the_kernel(self, monkeypatch):
+        # 81 rows, 24 points, one of them with a zero derivative: 23 rows reach
+        # the final rank, the 24th is dependent, and the other 57 are skipped
+        generic = random_instance(29, 9, 9, 24).points
+        p = problem(9, 9, [(pt.delta, (0,) * 9 if i == 5 else pt.deriv) for i, pt in enumerate(generic)])
         calls = []
-        kernel_basis = QMatrix.kernel_basis
+        inserted = IntEchelon.inserted
 
-        def counted_kernel(self):
-            calls.append("kernel_basis")
-            return kernel_basis(self)
+        def counted(self, vec):
+            calls.append(vec)
+            return inserted(self, vec)
 
-        def forbidden_rank(self):
-            calls.append("rank")
-            return 0
+        monkeypatch.setattr(IntEchelon, "inserted", counted)
+        verdict = theorem_check(p)
+        assert len(calls) == 24
+        witness = tuple(Fraction(i == 5) for i in range(24))
+        assert verdict == TheoremVerdict(Verdict.INCONCLUSIVE, 23, witness)
 
-        monkeypatch.setattr(QMatrix, "kernel_basis", counted_kernel)
-        monkeypatch.setattr(QMatrix, "rank", forbidden_rank)
-        result = theorem_check(random_instance(17, 2, 2, n_points))
-        assert calls == ["kernel_basis"]
-        assert (result.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE) == (n_points == 3)
+
+@st.composite
+def theorem_problems(draw):
+    """g, N <= 3 and n up to g*N + 3, so kernels of dimension 2 and more occur.
+
+    Entries are integers, fractions over one shared denominator or over
+    30-digit ones; points may be zero on either factor, repeat an earlier
+    point up to scale, or share its covector with a rescaled derivative.
+    """
+    genus, ambient = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, genus * ambient + 3))
+    shared = draw(st.sampled_from((1, 6, 10**29 + 3)))
+    long_denominators = st.integers(10**29, 10**30 - 1)
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "shared", "shared", "long")))
+        if kind == "zero":
+            return Fraction(0)
+        numerator = draw(st.integers(-9, 9))
+        return Fraction(numerator, shared if kind == "shared" else draw(long_denominators))
+
+    def vector(dim):
+        return [entry() for _ in range(dim)]
+
+    columns = []
+    for _ in range(n):
+        kinds = ["fresh"] * 4 + ["zero_delta", "zero_deriv"] + (["copy", "proportional"] if columns else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("copy", "proportional"):
+            delta, deriv = draw(st.sampled_from(columns))
+            scale = draw(st.sampled_from((1, -1, 2, Fraction(-7, 3))))
+            if kind == "copy":
+                delta = [scale * x for x in delta]
+            deriv = [scale * x for x in deriv]
+        else:
+            delta = [0] * genus if kind == "zero_delta" else vector(genus)
+            deriv = [0] * ambient if kind == "zero_deriv" else vector(ambient)
+        columns.append((delta, deriv))
+    return problem(genus, ambient, columns)
+
+
+class TestTheoremOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(theorem_problems())
+    def test_rank_and_witness_equal_the_fraction_oracle(self, p):
+        matrix = obstruction_matrix(p)
+        basis = oracle_kernel_basis(matrix)
+        verdict = Verdict.INCONCLUSIVE if basis else Verdict.NOT_EVENTUALLY_SMOOTHABLE
+        expected = TheoremVerdict(verdict, oracle_rank(matrix), basis[0] if basis else None)
+        assert theorem_check(p) == expected
 
 
 class TestCorollaryCheck:

@@ -6,6 +6,8 @@ without the full CLI selftest.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import ghostcheck.localmodel as localmodel_module
 import ghostcheck.selftest as selftest_module
 from ghostcheck.laurent import LaurentPoly
@@ -14,6 +16,7 @@ from ghostcheck.selftest import (
     CRITERIA,
     check_chart_relations,
     check_dimension_formulas,
+    check_kernel_witness_subsets,
     run_criterion,
 )
 
@@ -45,3 +48,21 @@ def test_wrong_closed_form_fails_dimension_formulas(monkeypatch):
     assert detail.startswith("stratum formulas disagree on StratumSpec(")
     result = run_criterion(_criterion("dimension-formulas"))
     assert not result.passed and result.detail == detail
+
+
+def test_scaled_kernel_witness_fails_kernel_witness_subsets(monkeypatch):
+    # twice a kernel vector is still in the kernel and has the same support,
+    # so only the comparison with the matrix's kernel basis catches it
+    original = selftest_module.theorem_check
+
+    def doubled(problem):
+        verdict = original(problem)
+        return replace(verdict, kernel_witness=tuple(2 * x for x in verdict.kernel_witness))
+
+    monkeypatch.setattr(selftest_module, "theorem_check", doubled)
+    assert check_kernel_witness_subsets() == (
+        False,
+        "instance 0: rank or witness differs from the matrix's kernel basis",
+    )
+    result = run_criterion(_criterion("kernel-witness-subsets"))
+    assert (result.name, result.passed) == ("kernel-witness-subsets", False)
