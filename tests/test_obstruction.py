@@ -119,19 +119,38 @@ class TestTheoremCheck:
             fired = verdict.verdict is Verdict.NOT_EVENTUALLY_SMOOTHABLE
             assert fired == (verdict.rank == p.n_points)
 
-    def test_builds_no_fraction_matrix(self, monkeypatch):
-        # g*N = 4 rows: three points give full rank, nine points a kernel
-        full, kernel = random_instance(17, 2, 2, 3), random_instance(17, 2, 2, 9)
-        expected_witness = oracle_kernel_basis(obstruction_matrix(kernel))[0]
+    @pytest.mark.parametrize("n_points", [3, 9])
+    def test_eliminates_once(self, monkeypatch, n_points):
+        # g*N = 4 rows: three points give full rank, nine points a kernel;
+        # one integer elimination, no Fraction matrix, one back-substitution
+        # only when there is a kernel
+        p = random_instance(17, 2, 2, n_points)
+        expected = (
+            TheoremVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, 3, None)
+            if n_points == 3
+            else TheoremVerdict(Verdict.INCONCLUSIVE, 4, oracle_kernel_basis(obstruction_matrix(p))[0])
+        )
+        calls = []
+        of, kernel_vector = IntEchelon.of.__func__, IntEchelon.kernel_vector
+
+        def counted_of(cls, vectors):
+            calls.append("of")
+            return of(cls, vectors)
+
+        def counted_kernel_vector(self, f, width):
+            calls.append("kernel_vector")
+            return kernel_vector(self, f, width)
 
         def forbidden(*args):
             raise AssertionError("theorem_check built the Fraction matrix")
 
+        monkeypatch.setattr(IntEchelon, "of", classmethod(counted_of))
+        monkeypatch.setattr(IntEchelon, "kernel_vector", counted_kernel_vector)
         monkeypatch.setattr(obstruction_module, "obstruction_matrix", forbidden)
         monkeypatch.setattr(QMatrix, "rank", forbidden)
         monkeypatch.setattr(QMatrix, "kernel_basis", forbidden)
-        assert theorem_check(full) == TheoremVerdict(Verdict.NOT_EVENTUALLY_SMOOTHABLE, 3, None)
-        assert theorem_check(kernel) == TheoremVerdict(Verdict.INCONCLUSIVE, 4, expected_witness)
+        assert theorem_check(p) == expected
+        assert calls == (["of"] if n_points == 3 else ["of", "kernel_vector"])
 
     def test_skips_rows_orthogonal_to_the_kernel(self, monkeypatch):
         # 81 rows, 24 points, one of them with a zero derivative: 23 rows reach
