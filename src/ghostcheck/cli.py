@@ -66,7 +66,15 @@ def cmd_check(args):
         # the corollary check first: it refuses an inconclusive problem over
         # the witness-search cap before the theorem check's elimination runs
         corollary = corollary_check(problem)
-        entry = verdict_pair_to_json(theorem_check(problem), corollary)
+        theorem = theorem_check(problem)
+        # a kernel vector's support D has rank_V(D) + rank_E(D) <= |D|, so a
+        # kernel makes the corollary inconclusive with a witness no larger
+        if theorem.kernel_witness is not None:
+            if corollary.witness_D is None:
+                raise AssertionError("corollary obstructed but theorem inconclusive; this is a bug")
+            if sum(map(bool, theorem.kernel_witness)) < len(corollary.witness_D):
+                raise AssertionError("kernel witness support is below the minimal witness size; this is a bug")
+        entry = verdict_pair_to_json(theorem, corollary)
         entry["genus"] = problem.genus
         entry["ambient_dim"] = problem.ambient_dim
         entry["n_points"] = problem.n_points

@@ -15,12 +15,15 @@ the vectors orthogonal to it, which are exactly those already in the span.
 ``QMatrix.rank`` and ``QMatrix.kernel_basis`` call it on the rows scaled to
 integers, ``ghostcheck.obstruction`` on the theorem's integer rows and on
 integerized columns, and ``ghostcheck.factory`` on integerized columns. The
-subset scan grows one echelon point by point with ``IntEchelon.inserted``,
+split certificates share one ``IntEchelon.inserted`` per distinct prefix of
+their sorted sides, the subset scan carries each later point's residual and
+clears one coordinate of it with ``IntEchelon.reduced`` on a one-row echelon,
 and the matroid partition reads fundamental circuits off
-``IntEchelon.reduced``. ``IntEchelon.kernel_vector`` is the one
-back-substitution, fraction-free as well. No ``Fraction`` is divided during
-elimination; a kernel vector returns to the rationals only when it is
-divided by its free coordinate.
+``IntEchelon.reduced``. ``primitive`` is the one content removal, shared by
+``integerize``, ``inserted``, the kernel vectors and the scan's residuals.
+``IntEchelon.kernel_vector`` is the one back-substitution, fraction-free as
+well. No ``Fraction`` is divided during elimination; a kernel vector returns
+to the rationals only when it is divided by its free coordinate.
 """
 
 from __future__ import annotations
@@ -74,14 +77,16 @@ def rat_vector(values: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
 
 
+def primitive(vec: list[int]) -> list[int]:
+    """``vec`` divided by the gcd of its entries; a zero vector comes back as is."""
+    g = gcd(*vec)
+    return vec if g <= 1 else [x // g for x in vec]
+
+
 def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same line)."""
     scale = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (scale // v.denominator) for v in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return tuple(primitive([v.numerator * (scale // v.denominator) for v in vec]))
 
 
 class IntEchelon:
@@ -90,8 +95,8 @@ class IntEchelon:
     Rows are primitive integer vectors sorted by pivot position; each row's
     first nonzero entry is its pivot, and it is positive. Reducing an incoming
     vector in ascending pivot order never reintroduces cleared coordinates.
-    ``inserted`` leaves the echelon it is called on unchanged, so the subset
-    scan can branch from a shared prefix.
+    ``inserted`` leaves the echelon it is called on unchanged, so the split
+    certificates can branch from a shared prefix.
     """
 
     __slots__ = ("rows", "pivots")
@@ -152,9 +157,7 @@ class IntEchelon:
         v = self.reduced(vec)
         if not any(v):
             return self
-        g = gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
+        v = primitive(v)
         pivot = next(i for i, x in enumerate(v) if x)
         if v[pivot] < 0:
             v = [-x for x in v]
@@ -186,8 +189,7 @@ class IntEchelon:
             if scale > 1:
                 v = [x * scale for x in v]
             v[p] = -(acc // g)
-        content = gcd(*v)
-        return v if content == 1 else [x // content for x in v]
+        return primitive(v)
 
 
 class QMatrix:

@@ -22,9 +22,14 @@ The subset test is decided in polynomial time by matroid partition
 (Edmonds 1968, with Cunningham's shortest augmenting paths) over the two
 column matroids M_V (derivatives) and M_E (covectors), and every
 obstructed verdict carries one split per point that is checked with exact
-ranks before it is returned. The exponential (|D|, lex) subset scan runs
-only on inconclusive problems, to find the minimal witness, and only it is
-capped at 24 points.
+ranks before it is returned; the splits differ only along short augmenting
+paths, so each side's sets are ranked in sorted order and a prefix shared
+with the previous set is eliminated once. The exponential (|D|, lex) subset
+scan runs only on inconclusive problems, to find the minimal witness, and
+only it is capped at 24 points. It carries each later point's residual
+against the chosen prefix's span, so a candidate's rank increments are read
+off without any elimination, and choosing a point costs one fraction-free
+step per later residual.
 
 The engine never claims smoothability: a trivial kernel is the only
 obstructed outcome, everything else is inconclusive.
@@ -39,7 +44,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact import IntEchelon, QMatrix, RatLike, integer, integerize, rat_vector
+from .exact import IntEchelon, QMatrix, RatLike, integer, integerize, primitive, rat_vector
 
 MAX_SUBSET_POINTS = 24
 
@@ -181,25 +186,49 @@ def _first_witness_of_size(
     decrease when a column is added, so a prefix whose rank sum already
     exceeds the target size cannot extend to a witness. The first completed
     subset is therefore exactly the lex-minimal witness of this size.
+
+    Each node carries, per side, every point's residual against the span of
+    the chosen columns, or None when the point lies in that span. A
+    candidate raises a side's rank exactly when its residual there is not
+    None, so the prune reads no column. Choosing a point with residual w
+    clears w's first nonzero coordinate from each later residual with one
+    fraction-free step of a one-row ``IntEchelon`` and makes the result
+    primitive; w is zero at every coordinate cleared before it, so those
+    stay zero, and a residual vanishes exactly when its point joins the
+    span.
     """
 
-    def recurse(start: int, chosen: list[int], ev: IntEchelon, ee: IntEchelon):
-        if len(chosen) == size:
-            return tuple(chosen)
+    def grown(residuals: list, i: int) -> list:
+        w = residuals[i]
+        if w is None:
+            return residuals
+        row = IntEchelon().inserted(w)
+        p = row.pivots[0]
+        later = []
+        for r in residuals[i + 1 :]:
+            if r is not None and r[p]:
+                r = row.reduced(r)
+                r = primitive(r) if any(r) else None
+            later.append(r)
+        return residuals[: i + 1] + later
+
+    def recurse(start: int, chosen: tuple[int, ...], rank: int, rv: list, re: list):
         slots = size - len(chosen)
         for i in range(start, n - slots + 1):
-            ev2 = ev.inserted(vcols[i])
-            ee2 = ee.inserted(ecols[i])
-            if ev2.rank + ee2.rank > size:
+            grown_rank = rank + (rv[i] is not None) + (re[i] is not None)
+            if grown_rank > size:
                 continue
-            chosen.append(i)
-            found = recurse(i + 1, chosen, ev2, ee2)
+            if slots == 1:
+                return chosen + (i,)
+            found = recurse(i + 1, chosen + (i,), grown_rank, grown(rv, i), grown(re, i))
             if found is not None:
                 return found
-            chosen.pop()
         return None
 
-    return recurse(0, [], IntEchelon(), IntEchelon())
+    def roots(cols: Sequence[tuple[int, ...]]) -> list:
+        return [c if any(c) else None for c in cols]
+
+    return recurse(0, (), 0, roots(vcols), roots(ecols))
 
 
 def _minimal_witness(
@@ -354,22 +383,38 @@ def _obstruction_splits(vcols, ecols) -> Optional[list[tuple[tuple[int, ...], tu
 
 def _check_splits(vcols, ecols, splits):
     """Raise unless every point e has a split (A, B) with A | B = S, e in
-    both, and A and B independent by exact rank."""
+    both, and A and B independent by exact rank.
+
+    Each side's sets are walked in lexicographic order on a stack of
+    echelons, one per element of the current set, so a prefix shared with
+    the previous set is eliminated only once.
+    """
     n = len(vcols)
     if len(splits) != n:
         raise AssertionError(f"matroid partition gave {len(splits)} splits for {n} points; this is a bug")
+
+    def fail(e):
+        raise AssertionError(
+            f"matroid partition split for point {e} fails its exact rank check; this is a bug"
+        )
+
     everything = set(range(n))
     for e, (a, b) in enumerate(splits):
-        if not (
-            e in a
-            and e in b
-            and set(a) | set(b) == everything
-            and IntEchelon.of(vcols[i] for i in a).rank == len(a)
-            and IntEchelon.of(ecols[i] for i in b).rank == len(b)
-        ):
-            raise AssertionError(
-                f"matroid partition split for point {e} fails its exact rank check; this is a bug"
-            )
+        if not (e in a and e in b and set(a) | set(b) == everything):
+            fail(e)
+    for k, cols in enumerate((vcols, ecols)):
+        stack, previous = [IntEchelon()], ()
+        for e in sorted(range(n), key=lambda x: splits[x][k]):
+            members = splits[e][k]
+            common = 0
+            while common < min(len(members), len(previous)) and members[common] == previous[common]:
+                common += 1
+            del stack[common + 1 :]
+            for i in members[common:]:
+                stack.append(stack[-1].inserted(cols[i]))
+            if stack[-1].rank != len(members):
+                fail(e)
+            previous = members
 
 
 def corollary_check(problem: ObstructionProblem) -> CorollaryVerdict:

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghostcheck.cli as cli_module
 import ghostcheck.obstruction as obstruction_module
 from ghostcheck.cli import EXIT_INTERNAL, main
-from ghostcheck.exact import IntEchelon, QMatrix
+from ghostcheck.exact import IntEchelon, QMatrix, integerize
 from ghostcheck.factory import random_instance
 from ghostcheck.jsonio import dump_json, problem_to_json
 from ghostcheck.obstruction import (
@@ -334,6 +336,113 @@ class TestMatroidPartitionVerdict:
         out, err = capsys.readouterr()
         assert code == EXIT_INTERNAL and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("internal error: AssertionError: ")
+
+
+    @pytest.mark.parametrize(
+        "p, kernel_witness",
+        [
+            (OBSTRUCTED_30, (Fraction(1),) * 30),  # corollary obstructed, theorem not
+            (problem(1, 1, [((1,), (1,)), ((1,), (1,))]), (Fraction(1), Fraction(0))),  # D = {0, 1}
+        ],
+        ids=["obstructed-corollary", "support-below-witness"],
+    )
+    def test_disagreeing_verdicts_are_an_internal_error(
+        self, capsys, monkeypatch, tmp_path, p, kernel_witness
+    ):
+        path = tmp_path / "problem.json"
+        path.write_text(dump_json({"version": 1, **problem_to_json(p)}))
+
+        def inconclusive(q):
+            return TheoremVerdict(Verdict.INCONCLUSIVE, q.n_points - 1, kernel_witness)
+
+        monkeypatch.setattr(cli_module, "theorem_check", inconclusive)
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INTERNAL and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal error: AssertionError: ")
+
+
+@st.composite
+def scan_problems(draw):
+    """n <= 10 with zero, repeated and proportional columns and 30-digit entries."""
+    genus, ambient = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(3, 10))
+    small = st.integers(-2, 2)
+    large = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    # a zero column passes alone, so most problems have none and a larger witness
+    zeros = ["zero"] if draw(st.integers(0, 3)) == 0 else []
+
+    def column(dim, earlier):
+        kinds = zeros + ["small", "small", "large"] + (["copy"] if earlier else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return [0] * dim
+        if kind == "copy":
+            scale = draw(st.sampled_from((1, -1, 3, Fraction(-7, 10**29))))
+            return [scale * v for v in draw(st.sampled_from(earlier))]
+        entries = small if kind == "small" else large
+        return draw(st.lists(entries, min_size=dim, max_size=dim).filter(any))
+
+    deltas, derivs = [], []
+    for _ in range(n):
+        deltas.append(column(genus, deltas))
+        derivs.append(column(ambient, derivs))
+    return problem(genus, ambient, list(zip(deltas, derivs)))
+
+
+class TestFirstWitnessOfSize:
+    @settings(max_examples=100, deadline=None)
+    @given(scan_problems())
+    def test_every_size_matches_the_first_passing_combination(self, p):
+        n = p.n_points
+        vcols = [integerize(q.deriv) for q in p.points]
+        ecols = [integerize(q.delta) for q in p.points]
+        for size in range(1, n + 1):
+            expected = next(
+                (d for d in combinations(range(n), size) if rank_inequality_holds(p, d)), None
+            )
+            assert obstruction_module._first_witness_of_size(size, n, vcols, ecols) == expected
+
+
+class TestCheckSplits:
+    @staticmethod
+    def columns_and_splits(p):
+        vcols = [integerize(q.deriv) for q in p.points]
+        ecols = [integerize(q.delta) for q in p.points]
+        return vcols, ecols, obstruction_module._obstruction_splits(vcols, ecols)
+
+    def test_dependent_side_names_its_point(self):
+        vcols, ecols, splits = self.columns_and_splits(OBSTRUCTED_30)
+        obstruction_module._check_splits(vcols, ecols, splits)
+        k = 7
+        splits[k] = (tuple(range(30)), splits[k][1])  # 30 derivatives in a 16-dimensional space
+        with pytest.raises(AssertionError, match=f"split for point {k} fails"):
+            obstruction_module._check_splits(vcols, ecols, splits)
+
+    def test_split_that_misses_a_point_raises(self):
+        vcols, ecols, splits = self.columns_and_splits(OBSTRUCTED_30)
+        k, missing = 7, 12
+        splits[k] = tuple(tuple(i for i in side if i != missing) for side in splits[k])
+        with pytest.raises(AssertionError, match=f"split for point {k} fails"):
+            obstruction_module._check_splits(vcols, ecols, splits)
+
+    def test_inserts_each_distinct_prefix_once(self, monkeypatch):
+        vcols, ecols, splits = self.columns_and_splits(random_instance(1, 2, 64, 64))
+        prefixes = sum(
+            len({split[k][:d] for split in splits for d in range(1, len(split[k]) + 1)}) for k in (0, 1)
+        )
+        assert prefixes < sum(len(a) + len(b) for a, b in splits)
+        calls = 0
+        inserted = IntEchelon.inserted
+
+        def counted(self, vec):
+            nonlocal calls
+            calls += 1
+            return inserted(self, vec)
+
+        monkeypatch.setattr(IntEchelon, "inserted", counted)
+        obstruction_module._check_splits(vcols, ecols, splits)
+        assert calls == prefixes
 
 
 class TestSubsetRanks:
