@@ -337,7 +337,6 @@ class TestMatroidPartitionVerdict:
         assert code == EXIT_INTERNAL and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("internal error: AssertionError: ")
 
-
     @pytest.mark.parametrize(
         "p, kernel_witness",
         [
