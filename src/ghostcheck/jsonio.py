@@ -113,13 +113,14 @@ def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveMode
     raise InputError(f"{where}: unknown model type {kind!r}")
 
 
-def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str):
+def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str) -> tuple:
+    """The covector of one attachment point, its errors located at ``where``."""
     try:
         if isinstance(model, HyperellipticModel):
-            return (rat(_get(data, "x", where)), rat(_get(data, "y", where)))
+            return model.ev_vector((rat(_get(data, "x", where)), rat(_get(data, "y", where))))
         if isinstance(model, NodalRationalModel):
-            return rat(_get(data, "p", where))
-        return integer(_get(data, "index", where))
+            return model.ev_vector(rat(_get(data, "p", where)))
+        return model.ev_vector(integer(_get(data, "index", where)))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -154,8 +155,7 @@ def problem_from_json(data: Mapping, where: str = "component") -> ObstructionPro
             _require_matrix_size(model.genus, ambient, len(derivs), where)
             columns = []
             for i, (att, dv) in enumerate(zip(attachments, derivs)):
-                point = _attachment_from_json(model, att, f"{where}.attachments[{i}]")
-                delta = model.ev_vector(point)
+                delta = _attachment_from_json(model, att, f"{where}.attachments[{i}]")
                 _require(
                     len(dv) == ambient,
                     f"{where}.derivs[{i}]: length {len(dv)} != {ambient}",

@@ -61,19 +61,6 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def _canonical(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
-        """Wrap terms that are already canonical, without checking them.
-
-        The caller guarantees distinct variable names, int exponent tuples of
-        the right length and nonzero ``Fraction`` coefficients, and hands over
-        ``terms``: it must not mutate the dict afterwards.
-        """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "terms", terms)
-        return poly
-
     # -- constructors ---------------------------------------------------
 
     @classmethod

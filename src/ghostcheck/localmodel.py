@@ -21,10 +21,15 @@ Given a function G(x, y, t) vanishing on the ghost side of the fiber,
     G = a_0 + a_1 t + ... + a_{m-1} t^(m-1) + t^m G_m,
 
 restricting each G_l to the sub-chain E_l ... E_m (C_tilde standing in for
-E_m) and recording pole orders and residues at the nodes. In chart j-1 the
-term x^a y^b t^c is the single monomial z^d w^(d + b - a) with
-d = a*j + b*(m-j) + c, and t = zw, so the term restricts to E_j at level d,
-as coeff * w^(b - a), and nowhere else. The input rules (checked by
+E_m). An expansion records what its report shows: per level the constant,
+and per component the pole order and residue at its near node. The
+restrictions themselves are built on demand, one coordinate at a time, by
+``restriction``: for the message of a NonConstantLevel stop and for the
+selftest, never for a report.
+
+In chart j-1 the term x^a y^b t^c is the single monomial z^d w^(d + b - a)
+with d = a*j + b*(m-j) + c, and t = zw, so the term restricts to E_j at
+level d, as coeff * w^(b - a), and nowhere else. The input rules (checked by
 ``_validate_input``: no mixed xy terms, no negative exponents, and
 G(x=0, t=0) = 0, so every term without x carries t) leave four rules for
 level l:
@@ -39,10 +44,10 @@ level l:
 - no other term reaches any level.
 
 So a completed expansion has simple poles with the prescribed residue by
-construction; the selftest checks every restriction against chart-by-chart
-substitution. Constancy of G_l on the deeper sub-chain is a global property
-of the compact ghost curve; the affine model raises NonConstantLevel when
-the input does not extend.
+construction; the selftest checks every ``restriction``, pole order,
+residue and constant against chart-by-chart substitution. Constancy of G_l
+on the deeper sub-chain is a global property of the compact ghost curve;
+the affine model raises NonConstantLevel when the input does not extend.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ XYT = ("x", "y", "t")
 ZW = ("z", "w")
 W = ("w",)
 ZERO = Fraction(0)
-ZERO_W = LaurentPoly(W)
 
 MAX_CHART_M = 8
 
@@ -161,16 +165,11 @@ def verify_chart_relations(m: int) -> ChartReport:
 
 
 @dataclass(frozen=True)
-class ComponentRestriction:
-    """Restriction of one level function to one chain component.
-
-    ``restriction`` holds one Laurent polynomial per target coordinate, in
-    the component's coordinate at its near node (w in the viewing chart).
-    ``pole_order`` and ``residue`` refer to that node.
-    """
+class ComponentRecord:
+    """One chain component of a level: the pole order and residue, coordinate
+    by coordinate, of the level function at the component's near node."""
 
     name: str
-    restriction: tuple[LaurentPoly, ...]
     pole_order: int
     residue: tuple[Fraction, ...]
 
@@ -179,20 +178,13 @@ class ComponentRestriction:
 class ExpansionLevel:
     level: int
     constant: tuple[Fraction, ...]
-    components: tuple[ComponentRestriction, ...]
+    components: tuple[ComponentRecord, ...]
 
 
 @dataclass(frozen=True)
 class GhostExpansion:
     m: int
     levels: tuple[ExpansionLevel, ...]
-
-
-def _component_names(m: int, level: int) -> list[tuple[str, int]]:
-    """Components of the level-l sub-chain as (name, chain index), index m = ghost branch."""
-    comps = [(f"E_{j}", j) for j in range(level, m)]
-    comps.append(("C_tilde", m))
-    return comps
 
 
 def _validate_input(components: Sequence[LaurentPoly]):
@@ -223,10 +215,13 @@ def expand_ghost(
     ``ghost_map`` is one polynomial in (x, y, t) per target coordinate
     (a single polynomial is treated as one coordinate), with nonnegative
     exponents, no mixed xy terms, and vanishing on the ghost branch.
-    Level l records the restriction of G_l to every component of the
-    sub-chain E_l ... E_m, the pole order and residue at the node p_l, and
-    the constant split off to form it. Each level is built from the four
-    rules of the module docstring.
+    Level l records, for every component of the sub-chain E_l ... E_m, the
+    pole order and residue at its near node, and the constant split off to
+    form G_l. The four rules of the module docstring give them from three
+    readings of the terms: the residues are the x-coefficients, the
+    constant of level l is the t^(l-1) coefficient, and the first y^b t^c
+    with c < m stops the expansion. ``restriction`` gives the level
+    functions themselves.
     """
     if m < 1:
         raise LocalModelError("m must be >= 1")
@@ -236,52 +231,45 @@ def expand_ghost(
     _validate_input(comps)
     residues = effective_branch_derivative(comps)
     zeros = tuple(ZERO for _ in comps)
-    # on_ghost[k][c] holds the terms y^b t^c (b >= 0) of coordinate k as the
-    # restriction {(b,): coefficient} they give C_tilde at level c
-    on_ghost: list[dict[int, dict[tuple[int], Fraction]]] = []
-    for g in comps:
-        by_level: dict[int, dict[tuple[int], Fraction]] = {}
-        for (a, b, c), coeff in g.terms.items():
-            if a == 0 and c <= m:
-                by_level.setdefault(c, {})[(b,)] = coeff
-        on_ghost.append(by_level)
-    # the expansion stops at the first c < m with a term y^b t^c, b > 0
-    stop = min(
-        (c for by_level in on_ghost for c, terms in by_level.items() if c < m and any(b for (b,) in terms)),
-        default=m,
+    # the expansion stops at the first c < m with a term y^b t^c, b > 0, in coordinate k
+    stop, k = min(
+        ((c, k) for k, g in enumerate(comps) for (_, b, c) in g.terms if b and c < m), default=(m, 0)
     )
-
-    levels: list[ExpansionLevel] = []
-    constant = zeros  # a_0 = 0: G vanishes at the first node
-    for level in range(1, stop + 1):
-        ghost = [by_level.get(level, {}) for by_level in on_ghost]
-        flat = [{(0,): t[(0,)]} if (0,) in t else {} for t in ghost]  # t^level
-        regular = tuple(_wrap(terms) for terms in flat)
-        records = []
-        for name, j in _component_names(m, level):
-            if j == level:  # E_level carries the node p_level and the pole of x
-                near = ghost if j == m else flat
-                restriction = tuple(
-                    _wrap({(-1,): r, **terms} if r else terms) for r, terms in zip(residues, near)
-                )
-                records.append(ComponentRestriction(name, restriction, int(any(residues)), residues))
-            else:
-                restriction = tuple(map(_wrap, ghost)) if j == m else regular
-                records.append(ComponentRestriction(name, restriction, 0, zeros))
-        levels.append(ExpansionLevel(level=level, constant=constant, components=tuple(records)))
-        constant = tuple(terms.get((0,), ZERO) for terms in flat)
-    if stop < m:
-        restricted = levels[-1].components[-1].restriction
-        k = next(k for k, r in enumerate(restricted) if not r.is_constant)
-        raise NonConstantLevel(
-            stop + 1, "C_tilde", f"coordinate {k} restricts to {restricted[k]!r}", levels_completed=levels
+    # E_l carries the node p_l and the pole of x; every other component is regular
+    names = [f"E_{j}" for j in range(1, m)] + ["C_tilde"]
+    nodes = [ComponentRecord(name, int(any(residues)), residues) for name in names]
+    regular = [ComponentRecord(name, 0, zeros) for name in names]
+    # level l splits off a_(l-1), and a_0 = 0: G vanishes at the first node
+    levels = tuple(
+        ExpansionLevel(
+            level=level,
+            constant=tuple(g.coefficient((0, 0, level - 1)) for g in comps),
+            components=(nodes[level - 1], *regular[level:]),
         )
-    return GhostExpansion(m=m, levels=tuple(levels))
+        for level in range(1, stop + 1)
+    )
+    if stop < m:
+        raise NonConstantLevel(
+            stop + 1,
+            "C_tilde",
+            f"coordinate {k} restricts to {restriction(comps[k], m, stop, m)!r}",
+            levels_completed=levels,
+        )
+    return GhostExpansion(m=m, levels=levels)
 
 
-def _wrap(terms: dict[tuple[int], Fraction]) -> LaurentPoly:
-    """A restriction in w from terms the four rules keep distinct."""
-    return LaurentPoly._canonical(W, terms) if terms else ZERO_W  # shared: LaurentPoly is immutable
+def restriction(g: LaurentPoly, m: int, level: int, j: int) -> LaurentPoly:
+    """The level function G_level of one coordinate restricted to chain
+    component j (E_j, or C_tilde for j = m), in w, for a level the expansion
+    completes and level <= j <= m: the four rules of the module docstring."""
+    if not 1 <= level <= j <= m:
+        raise LocalModelError(f"component {j} is not on the level-{level} sub-chain for m = {m}")
+    terms = {(0,): g.coefficient((0, 0, level))}  # t^level
+    if j == level:
+        terms[(-1,)] = g.coefficient((1, 0, 0))  # x
+    if j == m:  # y^b t^level
+        terms.update(((b,), coeff) for (a, b, c), coeff in g.terms.items() if a == 0 and c == level)
+    return LaurentPoly(W, terms)
 
 
 def effective_branch_derivative(

@@ -2,11 +2,11 @@
 
 Each criterion is exact (zero tolerance) and carries a wall-clock budget.
 The checks pit the engines against independent oracles: chart-by-chart
-substitution for the chain restrictions with their pole orders and
-residues, and hand-evaluated fixtures for the dimension counts; every
-theorem rank and kernel witness must equal those read off the obstruction
-matrix's kernel basis, and every kernel witness must pass the rank
-inequality.
+substitution for the chain restrictions with their pole orders, residues
+and split-off constants, and hand-evaluated fixtures for the dimension
+counts; every theorem rank and kernel witness must equal those read off the
+obstruction matrix's kernel basis, and every kernel witness must pass the
+rank inequality.
 Details in the results never include timings, so repeated runs print
 identical bytes.
 """
@@ -31,7 +31,7 @@ from .factory import (
     random_instance,
 )
 from .laurent import LaurentPoly
-from .localmodel import XYT, chart, verify_chart_relations, verify_residue_theorem
+from .localmodel import XYT, chart, restriction, verify_chart_relations, verify_residue_theorem
 from .obstruction import (
     AttachmentColumn,
     ObstructionProblem,
@@ -229,10 +229,11 @@ def check_residue_leading_term() -> tuple[bool, str]:
             report = verify_residue_theorem(components, m)
             oracles = [oracle_chain_restrictions(comp_poly, m) for comp_poly in components]
             for lvl in report.expansion.levels:
-                for record in lvl.components:
-                    j = m if record.name == "C_tilde" else int(record.name.split("_")[1])
+                for j, record in enumerate(lvl.components, start=lvl.level):
                     want = [oracle.get((lvl.level, j), {}) for oracle in oracles]
-                    got = [{e[0]: c for e, c in r.terms.items()} for r in record.restriction]
+                    got = [
+                        {e[0]: c for e, c in restriction(g, m, lvl.level, j).terms.items()} for g in components
+                    ]
                     where = f"m={m} level {lvl.level} {record.name}"
                     if got != want:
                         return False, f"{where}: chart restriction disagrees with the chart pullback"
@@ -242,6 +243,12 @@ def check_residue_leading_term() -> tuple[bool, str]:
                     residue = tuple(terms.get(-1, Fraction(0)) for terms in want)
                     if (record.pole_order, record.residue) != (pole, residue):
                         return False, f"{where}: pole order or residue disagrees with the chart pullback"
+                # a_(l-1), split off to form G_l, is the constant of G_(l-1) on E_l
+                split_off = tuple(
+                    oracle.get((lvl.level - 1, lvl.level), {}).get(0, Fraction(0)) for oracle in oracles
+                )
+                if lvl.constant != split_off:
+                    return False, f"m={m} level {lvl.level}: constant disagrees with the chart pullback"
             checked += 1
     return True, f"{checked} admissible maps: poles simple, residues exact, oracle agrees"
 

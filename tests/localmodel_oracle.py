@@ -6,6 +6,8 @@ forms ``G_l = (G_(l-1) - a_(l-1)) / t`` downstairs in (x, y, t) at every
 level, pulls ``G_l`` back to the chart of every component of the sub-chain
 and restricts it to the component with ``restrict_to_axis``. It raises the
 engine's exceptions with the same messages, so reports can be compared whole.
+Its records keep the restrictions, which the engine builds only on demand
+with ``restriction``.
 It also checks what the engine builds in by construction: every pole is
 simple, sits at the level's own node and has the expected residue; a
 violation raises this module's ``UnexpectedPole`` or ``ResidueMismatch``.
@@ -13,19 +15,18 @@ violation raises this module's ``UnexpectedPole`` or ``ResidueMismatch``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from ghostcheck.laurent import LaurentPoly, restrict_to_axis
 from ghostcheck.localmodel import (
     XYT,
-    ComponentRestriction,
     ExpansionLevel,
     GhostExpansion,
     LocalModelError,
     NonConstantLevel,
     ResidueReport,
-    _component_names,
     _validate_input,
     chart,
     effective_branch_derivative,
@@ -41,6 +42,21 @@ class UnexpectedPole(LocalModelError):
 
 class ResidueMismatch(LocalModelError):
     """A level's residue at its node differs from the x-linear coefficient of G."""
+
+
+@dataclass(frozen=True)
+class OracleComponent:
+    """The engine's component record, with the restriction of each coordinate."""
+
+    name: str
+    restriction: tuple[LaurentPoly, ...]
+    pole_order: int
+    residue: tuple[Fraction, ...]
+
+
+def component_names(m: int, level: int) -> list[tuple[str, int]]:
+    """Components of the level-l sub-chain as (name, chain index), index m = ghost branch."""
+    return [(f"E_{j}", j) for j in range(level, m)] + [("C_tilde", m)]
 
 
 def oracle_expand_ghost(
@@ -61,8 +77,8 @@ def oracle_expand_ghost(
     current = [g * t_inverse for g in comps]  # G_1 = G / t (a_0 = 0)
 
     for level in range(1, m + 1):
-        records: list[ComponentRestriction] = []
-        for name, j in _component_names(m, level):
+        records: list[OracleComponent] = []
+        for name, j in component_names(m, level):
             view = charts[j - 1]
             restrictions = []
             pole_order = 0
@@ -83,7 +99,7 @@ def oracle_expand_ghost(
                 pole_order = max(pole_order, order)
                 residue.append(restricted.coefficient((-1,)))
             records.append(
-                ComponentRestriction(
+                OracleComponent(
                     name=name,
                     restriction=tuple(restrictions),
                     pole_order=pole_order,

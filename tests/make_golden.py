@@ -106,6 +106,17 @@ TOGGLED = {
     "error-missing-file": ({}, ["localmodel", "{dir}/absent.json"]),
 }
 ONCE = {
+    "localmodel-split-off-constants--json": (
+        {"l.json": local(4, [term(1, 0, 0, "1"), term(0, 0, 1, "3"), term(0, 0, 2, "-1/2")],
+                         [term(1, 0, 0, "-2"), term(0, 0, 3, "5"), term(2, 0, 1, "1")])},
+        ["localmodel", "{dir}/l.json", "--json"],
+    ),
+    "localmodel-stop-after-levels--json": (
+        {"l.json": local(6, [term(1, 0, 0, "1"), term(0, 0, 2, "2"), term(0, 1, 5, "1")],
+                         [term(1, 0, 0, "1/3"), term(0, 0, 1, "7"),
+                          term(0, 0, 3, "5"), term(0, 2, 3, "-3/4")])},
+        ["localmodel", "{dir}/l.json", "--json"],
+    ),
     "error-no-command": ({}, []),
     "error-bad-int": ({}, ["generate", "--N", "abc", "--h", "2"]),
     "error-missing-path": ({}, ["check"]),

@@ -173,6 +173,29 @@ class TestCheck:
             "error: problem: g*N*n = 600*600*1 = 360000 matrix entries, over the limit 8192\n",
         )
 
+    @pytest.mark.parametrize("model, attachments, line", [
+        (
+            {"type": "hyperelliptic", "genus": 2, "f": ["0", "1", "0", "0", "0", "1"]},
+            [{"x": "0", "y": "0"}],
+            "problem.attachments[0]: x = 0 is a branch point; evaluation needs y != 0",
+        ),
+        (
+            {"type": "nodal_rational", "genus": 1, "nodes": [["0", "1"]]},
+            [{"p": "1"}],
+            "problem.attachments[0]: parameter 1 is a node preimage",
+        ),
+        (
+            {"type": "raw", "genus": 1, "ev_matrix": [["1", "2"]]},
+            [{"index": 1}, {"index": 2}],
+            "problem.attachments[1]: point index 2 out of range",
+        ),
+    ], ids=["hyperelliptic", "nodal_rational", "raw"])
+    def test_evaluation_error_names_its_attachment(self, capsys, tmp_path, model, attachments, line):
+        path = tmp_path / "model.json"
+        derivs = [["1"] for _ in attachments]
+        path.write_text(json.dumps({"curve_model": model, "attachments": attachments, "derivs": derivs}))
+        assert run_cli(capsys, "check", str(path)) == (EXIT_BAD_INPUT, "", f"error: {line}\n")
+
 
 def assert_bad_input(code, out, err):
     """Exit 2, nothing on stdout, exactly one ``error:`` line on stderr."""
@@ -466,22 +489,14 @@ class TestSelftest:
         assert all(line.startswith("PASS") for line in lines[:-1])
 
     def test_sabotaged_residue_fails_named_criterion(self, monkeypatch):
-        from ghostcheck.localmodel import verify_residue_theorem as original
+        from ghostcheck.localmodel import restriction as original
 
-        def residue_flipped(ghost_map, m):
-            """The engine's report with the w^-1 coefficient of each node restriction negated."""
-            report = original(ghost_map, m)
-            levels = []
-            for lvl in report.expansion.levels:
-                node, *rest = lvl.components
-                flipped = tuple(
-                    LaurentPoly(r.variables, {e: -c if e == (-1,) else c for e, c in r.terms.items()})
-                    for r in node.restriction
-                )
-                levels.append(replace(lvl, components=(replace(node, restriction=flipped), *rest)))
-            return replace(report, expansion=replace(report.expansion, levels=tuple(levels)))
+        def residue_flipped(g, m, level, j):
+            """The engine's restriction with its w^-1 coefficient negated."""
+            r = original(g, m, level, j)
+            return LaurentPoly(r.variables, {e: -c if e == (-1,) else c for e, c in r.terms.items()})
 
-        monkeypatch.setattr(selftest_module, "verify_residue_theorem", residue_flipped)
+        monkeypatch.setattr(selftest_module, "restriction", residue_flipped)
         assert selftest_module.check_residue_leading_term() == (
             False, "m=1 level 1 C_tilde: chart restriction disagrees with the chart pullback"
         )
@@ -505,6 +520,23 @@ class TestSelftest:
         monkeypatch.setattr(selftest_module, "verify_residue_theorem", residue_field_flipped)
         assert selftest_module.check_residue_leading_term() == (
             False, "m=1 level 1 C_tilde: pole order or residue disagrees with the chart pullback"
+        )
+
+    def test_sabotaged_constant_fails_named_criterion(self, monkeypatch):
+        from ghostcheck.localmodel import verify_residue_theorem as original
+
+        def constant_shifted(ghost_map, m):
+            """The engine's report with every constant but a_0 raised by one."""
+            report = original(ghost_map, m)
+            levels = tuple(
+                replace(lvl, constant=tuple(a + (lvl.level > 1) for a in lvl.constant))
+                for lvl in report.expansion.levels
+            )
+            return replace(report, expansion=replace(report.expansion, levels=levels))
+
+        monkeypatch.setattr(selftest_module, "verify_residue_theorem", constant_shifted)
+        assert selftest_module.check_residue_leading_term() == (
+            False, "m=2 level 2: constant disagrees with the chart pullback"
         )
 
     def test_failing_criterion_exit_code_and_report(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import ghostcheck.laurent as laurent_module
 import ghostcheck.localmodel as localmodel_module
-from ghostcheck.jsonio import dump_json, residue_report_to_json
+from ghostcheck.cli import main
+from ghostcheck.jsonio import dump_json, expansion_to_json, residue_report_to_json
 from ghostcheck.laurent import LaurentPoly, normal_form_xyt
 from ghostcheck.localmodel import (
     XYT,
@@ -21,6 +23,7 @@ from ghostcheck.localmodel import (
     chart,
     effective_branch_derivative,
     expand_ghost,
+    restriction,
     verify_chart_relations,
     verify_residue_theorem,
 )
@@ -31,7 +34,7 @@ from ghostcheck.obstruction import (
     theorem_check,
 )
 from ghostcheck.selftest import oracle_chain_restrictions
-from localmodel_oracle import oracle_verify_residue_theorem
+from localmodel_oracle import oracle_expand_ghost, oracle_verify_residue_theorem
 
 
 def mono(exps, coeff=1):
@@ -187,7 +190,7 @@ class TestExpandGhost:
         assert final.components[0].residue == (Fraction(0),)
         ghost = final.components[-1]
         assert ghost.pole_order == 0
-        assert not ghost.restriction[0].is_zero
+        assert not restriction(g, 3, 3, 3).is_zero
 
     def test_level_shift_consistency(self):
         rng = random.Random(61)
@@ -206,8 +209,8 @@ class TestExpandGhost:
                 base_level = base.levels[lvl - 1]
                 shift_level = shifted.levels[lvl]
                 base_by_name = {c.name: c for c in base_level.components}
-                for comp in shift_level.components:
-                    assert comp.restriction == base_by_name[comp.name].restriction
+                for j, comp in enumerate(shift_level.components, start=lvl + 1):
+                    assert restriction(g * T, m, lvl + 1, j) == restriction(g, m, lvl, j)
                     assert comp.residue == base_by_name[comp.name].residue
 
     def test_linearity(self):
@@ -262,9 +265,8 @@ class TestResidueTheorem:
             report = verify_residue_theorem(g, m)
             oracle = oracle_chain_restrictions(g, m)
             for level in report.expansion.levels:
-                for comp in level.components:
-                    j = m if comp.name == "C_tilde" else int(comp.name.split("_")[1])
-                    got = {e[0]: c for e, c in comp.restriction[0].terms.items()}
+                for j in range(level.level, m + 1):
+                    got = {e[0]: c for e, c in restriction(g, m, level.level, j).terms.items()}
                     assert got == oracle.get((level.level, j), {})
 
     def test_expected_from_effective_branch(self):
@@ -305,14 +307,34 @@ def ghost_maps(draw):
 
 
 def outcome(verify, components, m):
-    """Everything a report or a failure exposes, for comparison."""
+    """Everything a report or a failure exposes, for comparison: the report
+    bytes, or the exception's type, message, level, component and the bytes
+    of the levels it completed."""
     try:
         report = verify(components, m)
     except NonConstantLevel as exc:
-        return ("NonConstantLevel", str(exc), exc.level, exc.component, exc.levels_completed)
+        completed = dump_json(expansion_to_json(exc.levels_completed))
+        return ("NonConstantLevel", str(exc), exc.level, exc.component, completed)
     except LocalModelError as exc:
         return (type(exc).__name__, str(exc))
-    return ("report", report, dump_json(residue_report_to_json(report)))
+    return ("report", dump_json(residue_report_to_json(report)))
+
+
+def completed_levels(expand, components, m):
+    """The levels an expansion completes, whether or not it stops; None on bad input."""
+    try:
+        return expand(components, m).levels
+    except NonConstantLevel as exc:
+        return exc.levels_completed
+    except LocalModelError:
+        return None
+
+
+def assert_restrictions_match_oracle(components, m):
+    """Every restriction the oracle builds equals ``restriction`` on the same level and component."""
+    for level in completed_levels(oracle_expand_ghost, components, m) or ():
+        for j, record in enumerate(level.components, start=level.level):
+            assert record.restriction == tuple(restriction(g, m, level.level, j) for g in components)
 
 
 class TestExpansionOracle:
@@ -323,6 +345,7 @@ class TestExpansionOracle:
         assert outcome(verify_residue_theorem, components, m) == outcome(
             oracle_verify_residue_theorem, components, m
         )
+        assert_restrictions_match_oracle(components, m)
 
     def test_pure_t_terms_split_off_constants(self):
         report = verify_residue_theorem(X + T.scale(3) + (T * T).scale(5), 4)
@@ -375,6 +398,7 @@ class TestClosedFormPullback:
         result = outcome(verify_residue_theorem, components, m)
         assert result == outcome(oracle_verify_residue_theorem, components, m)
         assert result[0] == ("NonConstantLevel" if name.endswith("stop") else "report")
+        assert_restrictions_match_oracle(components, m)
 
     def test_never_substitutes(self, monkeypatch):
         cases = [(normal_form_map(m, *coords), m) for m, coords in LARGE_M_CASES.values()]
@@ -392,18 +416,37 @@ class TestClosedFormPullback:
     @settings(max_examples=200, deadline=None)
     def test_restrictions_are_canonical(self, case):
         components, m = case
-        try:
-            levels = expand_ghost(components, m).levels
-        except NonConstantLevel as exc:
-            levels = exc.levels_completed
-        except LocalModelError:
-            return
-        for level in levels:
-            for record in level.components:
-                for restricted in record.restriction:
+        for level in completed_levels(expand_ghost, components, m) or ():
+            for j in range(level.level, m + 1):
+                for g in components:
+                    restricted = restriction(g, m, level.level, j)
                     assert restricted == LaurentPoly(("w",), restricted.terms)
                     assert all(
                         type(e) is tuple and len(e) == 1 and type(e[0]) is int
                         and type(c) is Fraction and c
                         for e, c in restricted.terms.items()
                     )
+
+    @pytest.mark.parametrize("name", sorted(LARGE_M_CASES))
+    def test_request_path_builds_no_restriction(self, monkeypatch, capsys, tmp_path, name):
+        m, coords = LARGE_M_CASES[name]
+        terms = [
+            [{"exps": list(exps), "coeff": str(coeff)} for exps, coeff in coord.items()]
+            for coord in coords
+        ]
+        path = tmp_path / "local.json"
+        path.write_text(json.dumps({"local_model": {"m": m, "G": terms}}))
+        argv = ["localmodel", str(path), "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = localmodel_module.restriction
+        monkeypatch.setattr(localmodel_module, "restriction", counted)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert len(calls) == (1 if name.endswith("stop") else 0)
