@@ -11,7 +11,8 @@ several points is taken by their callers. Conventions:
 - nodal rational (a line glued at g pairs of points): basis
   eta_j = (1/(x - a_j) - 1/(x - b_j)) dx, coordinate x - p at a parameter p
   away from the glued points (residues +1 at a_j, -1 at b_j);
-- raw: a stored genus x n matrix of evaluation vectors, points are indices.
+- raw: the n columns of a stored genus x n matrix of evaluation vectors,
+  points are column indices.
 
 Verdicts downstream are invariant under these choices: rescaling the
 coordinate at a point by s only divides its covector by s, which changes no
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exact import QMatrix, RatLike, rat, rat_vector
+from .exact import RatLike, rat, rat_grid, rat_vector
 
 
 class CurveModelError(ValueError):
@@ -174,25 +175,25 @@ class NodalRationalModel:
 
 @dataclass(frozen=True)
 class RawEvaluationModel:
-    """Direct carrier of an evaluation matrix; points are column indices."""
+    """Direct carrier of a genus x n evaluation matrix, held as its n columns;
+    points are column indices."""
 
     genus: int
-    matrix: QMatrix
+    columns: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, genus: int, matrix: QMatrix):
+    def __init__(self, genus: int, rows: Sequence[Sequence[RatLike]]):
+        grid = rat_grid(rows)
         if genus < 1:
             raise CurveModelError("ghost models need genus >= 1")
-        if matrix.rows != genus:
-            raise CurveModelError(
-                f"evaluation matrix has {matrix.rows} rows, expected genus {genus}"
-            )
+        if len(grid) != genus:
+            raise CurveModelError(f"evaluation matrix has {len(grid)} rows, expected genus {genus}")
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", tuple(zip(*grid)))
 
     def ev_vector(self, index: int) -> tuple[Fraction, ...]:
-        if not 0 <= index < self.matrix.cols:
+        if not 0 <= index < len(self.columns):
             raise CurveModelError(f"point index {index} out of range")
-        return self.matrix.column(index)
+        return self.columns[index]
 
 
 GhostCurveModel = Union[HyperellipticModel, NodalRationalModel, RawEvaluationModel]

@@ -1,11 +1,13 @@
 """Exact rational arithmetic, dense rational matrices and their one eliminator.
 
-All values are immutable and all operations are pure. No floating point
-appears anywhere in this package: the verdicts downstream are rank
-conditions, and a single rounding error would flip them.
+No operation mutates a value it is given. No floating point appears
+anywhere in this package: the verdicts downstream are rank conditions, and
+a single rounding error would flip them.
 
 Rationals are ``fractions.Fraction`` (always in lowest terms, positive
 denominator, structural equality), serialized as ``"a/b"`` or ``"a"``.
+``rat_grid`` reads a rational matrix for ``QMatrix`` and the raw curve
+model alike.
 
 One fraction-free integer echelon, ``IntEchelon``, does every elimination,
 and ``IntEchelon.of`` is the one routine that inserts vectors until the
@@ -101,9 +103,10 @@ class IntEchelon:
 
     __slots__ = ("rows", "pivots")
 
-    def __init__(self, rows=(), pivots=()):
-        self.rows = list(rows)
-        self.pivots = list(pivots)
+    def __init__(self, rows: list | None = None, pivots: list | None = None):
+        """Empty, or over ``rows`` and their ``pivots``, which it keeps as given."""
+        self.rows = [] if rows is None else rows
+        self.pivots = [] if pivots is None else pivots
 
     @classmethod
     def of(cls, vectors: Iterable[Sequence[int]]) -> "IntEchelon":
@@ -161,11 +164,11 @@ class IntEchelon:
         pivot = next(i for i, x in enumerate(v) if x)
         if v[pivot] < 0:
             v = [-x for x in v]
-        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        new = IntEchelon(self.rows, self.pivots)
-        new.rows = self.rows[:pos] + [tuple(v)] + self.rows[pos:]
-        new.pivots = self.pivots[:pos] + [pivot] + self.pivots[pos:]
-        return new
+        pos = bisect_left(self.pivots, pivot)
+        return IntEchelon(
+            self.rows[:pos] + [tuple(v)] + self.rows[pos:],
+            self.pivots[:pos] + [pivot] + self.pivots[pos:],
+        )
 
     def kernel_vector(self, f: int, width: int) -> list[int]:
         """Primitive integer kernel vector of the rows for the free column ``f``.
@@ -192,8 +195,23 @@ class IntEchelon:
         return primitive(v)
 
 
+def rat_grid(entries: Iterable[Iterable[RatLike]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of exact rationals, at least one of them, all of one nonzero width.
+
+    Every entry is converted before the shape is checked, so a malformed
+    literal is reported first.
+    """
+    grid = tuple(rat_vector(row) for row in entries)
+    if not grid or not grid[0]:
+        raise ValueError("matrix needs at least one row and one column")
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise ValueError("ragged rows in matrix input")
+    return grid
+
+
 class QMatrix:
-    """Immutable dense matrix over Q with exact rank and kernel.
+    """Dense matrix over Q with exact rank and kernel.
 
     Both come from one ``IntEchelon`` of the rows. The kernel basis is read
     off the reduced row echelon form, which is unique, so kernel bases, and
@@ -203,38 +221,9 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[RatLike]]):
-        grid = tuple(tuple(rat(v) for v in row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("ragged rows in matrix input")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    # -- basic accessors ------------------------------------------------
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
-        return f"QMatrix({self.rows}x{self.cols}: {body})"
+        self.entries = rat_grid(entries)
+        self.rows = len(self.entries)
+        self.cols = len(self.entries[0])
 
     # -- arithmetic -----------------------------------------------------
 

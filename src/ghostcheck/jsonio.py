@@ -18,7 +18,7 @@ from .curves import (
     NodalRationalModel,
     RawEvaluationModel,
 )
-from .exact import QMatrix, integer, rat, rat_to_str, rat_vector
+from .exact import integer, rat, rat_to_str, rat_vector
 from .factory import StratumSpec
 from .laurent import LaurentPoly, normal_form_xyt
 from .localmodel import XYT, ExpansionLevel, NonConstantLevel, ResidueReport
@@ -27,7 +27,6 @@ from .obstruction import (
     CorollaryVerdict,
     ObstructionProblem,
     TheoremVerdict,
-    Verdict,
 )
 
 FORMAT_VERSION = 1
@@ -106,7 +105,7 @@ def model_from_json(data: Mapping, where: str = "curve_model") -> GhostCurveMode
         if kind == "raw":
             rows = _get_list(data, "ev_matrix", where)
             return RawEvaluationModel(
-                genus, QMatrix([_list(row, f"{where}.ev_matrix[{r}]") for r, row in enumerate(rows)])
+                genus, [_list(row, f"{where}.ev_matrix[{r}]") for r, row in enumerate(rows)]
             )
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc

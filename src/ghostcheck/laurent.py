@@ -9,8 +9,8 @@ polynomial byte-stable.
 
 Example
 -------
->>> x = LaurentPoly.variable(("x", "y"), "x")
->>> y = LaurentPoly.variable(("x", "y"), "y")
+>>> x = LaurentPoly.monomial(("x", "y"), (1, 0))
+>>> y = LaurentPoly.monomial(("x", "y"), (0, 1))
 >>> (x + y) * (x - y) == x * x - y * y
 True
 """
@@ -64,10 +64,6 @@ class LaurentPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "LaurentPoly":
-        return cls(variables)
-
-    @classmethod
     def constant(cls, variables: Sequence[str], value: RatLike) -> "LaurentPoly":
         exps = (0,) * len(tuple(variables))
         return cls(variables, {exps: value})
@@ -76,18 +72,7 @@ class LaurentPoly:
     def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff: RatLike = 1) -> "LaurentPoly":
         return cls(variables, {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "LaurentPoly":
-        vt = tuple(variables)
-        exps = [0] * len(vt)
-        exps[vt.index(name)] = 1
-        return cls(vt, {tuple(exps): 1})
-
     # -- predicates and accessors ----------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_constant(self) -> bool:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .laurent import LaurentPoly, substitute
 
@@ -207,14 +207,12 @@ def _validate_input(components: Sequence[LaurentPoly]):
                 )
 
 
-def expand_ghost(
-    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]], m: int
-) -> GhostExpansion:
+def expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpansion:
     """Peel the order-by-order expansion of G along the resolved chain.
 
-    ``ghost_map`` is one polynomial in (x, y, t) per target coordinate
-    (a single polynomial is treated as one coordinate), with nonnegative
-    exponents, no mixed xy terms, and vanishing on the ghost branch.
+    ``ghost_map`` is one polynomial in (x, y, t) per target coordinate, with
+    nonnegative exponents, no mixed xy terms, and vanishing on the ghost
+    branch.
     Level l records, for every component of the sub-chain E_l ... E_m, the
     pole order and residue at its near node, and the constant split off to
     form G_l. The four rules of the module docstring give them from three
@@ -225,15 +223,15 @@ def expand_ghost(
     """
     if m < 1:
         raise LocalModelError("m must be >= 1")
-    comps = [ghost_map] if isinstance(ghost_map, LaurentPoly) else list(ghost_map)
-    if not comps:
+    if not ghost_map:
         raise LocalModelError("ghost map needs at least one coordinate")
-    _validate_input(comps)
-    residues = effective_branch_derivative(comps)
-    zeros = tuple(ZERO for _ in comps)
+    _validate_input(ghost_map)
+    residues = effective_branch_derivative(ghost_map)
+    zeros = tuple(ZERO for _ in ghost_map)
     # the expansion stops at the first c < m with a term y^b t^c, b > 0, in coordinate k
     stop, k = min(
-        ((c, k) for k, g in enumerate(comps) for (_, b, c) in g.terms if b and c < m), default=(m, 0)
+        ((c, k) for k, g in enumerate(ghost_map) for (_, b, c) in g.terms if b and c < m),
+        default=(m, 0),
     )
     # E_l carries the node p_l and the pole of x; every other component is regular
     names = [f"E_{j}" for j in range(1, m)] + ["C_tilde"]
@@ -243,7 +241,7 @@ def expand_ghost(
     levels = tuple(
         ExpansionLevel(
             level=level,
-            constant=tuple(g.coefficient((0, 0, level - 1)) for g in comps),
+            constant=tuple(g.coefficient((0, 0, level - 1)) for g in ghost_map),
             components=(nodes[level - 1], *regular[level:]),
         )
         for level in range(1, stop + 1)
@@ -252,7 +250,7 @@ def expand_ghost(
         raise NonConstantLevel(
             stop + 1,
             "C_tilde",
-            f"coordinate {k} restricts to {restriction(comps[k], m, stop, m)!r}",
+            f"coordinate {k} restricts to {restriction(ghost_map[k], m, stop, m)!r}",
             levels_completed=levels,
         )
     return GhostExpansion(m=m, levels=levels)
@@ -272,13 +270,10 @@ def restriction(g: LaurentPoly, m: int, level: int, j: int) -> LaurentPoly:
     return LaurentPoly(W, terms)
 
 
-def effective_branch_derivative(
-    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]],
-) -> tuple[Fraction, ...]:
+def effective_branch_derivative(ghost_map: Sequence[LaurentPoly]) -> tuple[Fraction, ...]:
     """x-linear coefficient of G(x, 0, 0): the derivative of G along the
     effective branch at the first node."""
-    comps = [ghost_map] if isinstance(ghost_map, LaurentPoly) else list(ghost_map)
-    return tuple(g.coefficient((1, 0, 0)) for g in comps)
+    return tuple(g.coefficient((1, 0, 0)) for g in ghost_map)
 
 
 @dataclass(frozen=True)
@@ -293,9 +288,7 @@ class ResidueReport:
         return True
 
 
-def verify_residue_theorem(
-    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]], m: int
-) -> ResidueReport:
+def verify_residue_theorem(ghost_map: Sequence[LaurentPoly], m: int) -> ResidueReport:
     """Expand G along the chain, next to the residue each level must carry.
 
     The expansion has at worst a simple pole per level, at its own node,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from ghostcheck.laurent import LaurentPoly, restrict_to_axis
 from ghostcheck.localmodel import (
@@ -59,12 +59,10 @@ def component_names(m: int, level: int) -> list[tuple[str, int]]:
     return [(f"E_{j}", j) for j in range(level, m)] + [("C_tilde", m)]
 
 
-def oracle_expand_ghost(
-    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]], m: int
-) -> GhostExpansion:
+def oracle_expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpansion:
     if m < 1:
         raise LocalModelError("m must be >= 1")
-    comps = [ghost_map] if isinstance(ghost_map, LaurentPoly) else list(ghost_map)
+    comps = list(ghost_map)
     if not comps:
         raise LocalModelError("ghost map needs at least one coordinate")
     _validate_input(comps)
@@ -146,9 +144,7 @@ def oracle_expand_ghost(
     return GhostExpansion(m=m, levels=tuple(levels))
 
 
-def oracle_verify_residue_theorem(
-    ghost_map: Union[LaurentPoly, Sequence[LaurentPoly]], m: int
-) -> ResidueReport:
+def oracle_verify_residue_theorem(ghost_map: Sequence[LaurentPoly], m: int) -> ResidueReport:
     expansion = oracle_expand_ghost(ghost_map, m)
     expected = effective_branch_derivative(ghost_map)
     for lvl in expansion.levels:

@@ -1,7 +1,10 @@
-"""The traced benchmark wraps program functions by name; every name must exist."""
+"""The benchmark wraps program functions by name and imports others; every
+name must exist."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import ghostcheck
 import ghostcheck.cli  # noqa: F401  (the benchmark imports these before tracing)
 import ghostcheck.factory  # noqa: F401
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_layers():
@@ -28,3 +32,21 @@ def test_every_traced_layer_resolves():
             owner = getattr(owner, attr, None)
             assert owner is not None, f"bench/tracing.py names missing {module_name}.{path}"
         assert callable(owner), f"{module_name}.{path} is not callable"
+
+
+def bench_imports():
+    """(file, module, name) for every ``from ghostcheck... import name`` in bench/*.py."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ghostcheck":
+                found.extend((path.name, node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_every_benchmark_import_resolves():
+    imports = bench_imports()
+    assert any(name == "verify_residue_theorem" for _, _, name in imports)
+    for filename, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), f"bench/{filename} imports missing {module_name}.{name}"

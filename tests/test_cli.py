@@ -196,6 +196,33 @@ class TestCheck:
         path.write_text(json.dumps({"curve_model": model, "attachments": attachments, "derivs": derivs}))
         assert run_cli(capsys, "check", str(path)) == (EXIT_BAD_INPUT, "", f"error: {line}\n")
 
+    # a malformed literal is reported before the grid's shape, and the shape before the genus
+    @pytest.mark.parametrize("genus, ev_matrix, message", [
+        (1, [], "matrix needs at least one row and one column"),
+        (1, [[]], "matrix needs at least one row and one column"),
+        (0, [[]], "matrix needs at least one row and one column"),
+        (2, [["1", "2"], ["3"]], "ragged rows in matrix input"),
+        (0, [["1", "2"], ["3"]], "ragged rows in matrix input"),
+        (1, [[0.5, "1"]], "cannot interpret float as an exact rational"),
+        (2, [["1", "2"], [0.5]], "cannot interpret float as an exact rational"),
+        (1, [[], ["1/0"]], "zero denominator in '1/0'"),
+        (0, [["1", "2"]], "ghost models need genus >= 1"),
+        (2, [["1", "2"]], "evaluation matrix has 1 rows, expected genus 2"),
+    ], ids=[
+        "no-rows", "empty-row", "empty-row-genus-0", "ragged", "ragged-genus-0", "float-entry",
+        "float-in-ragged-rows", "zero-denominator-after-empty-row", "genus-0", "rows-not-genus",
+    ])
+    def test_raw_model_error_line(self, capsys, tmp_path, genus, ev_matrix, message):
+        path = tmp_path / "raw.json"
+        path.write_text(json.dumps({
+            "curve_model": {"type": "raw", "genus": genus, "ev_matrix": ev_matrix},
+            "attachments": [{"index": 0}],
+            "derivs": [["1"]],
+        }))
+        assert run_cli(capsys, "check", str(path)) == (
+            EXIT_BAD_INPUT, "", f"error: problem.curve_model: {message}\n",
+        )
+
 
 def assert_bad_input(code, out, err):
     """Exit 2, nothing on stdout, exactly one ``error:`` line on stderr."""

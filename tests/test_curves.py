@@ -105,18 +105,18 @@ class TestNodalRationalModel:
 
 class TestRawEvaluationModel:
     def test_columns_returned(self):
-        matrix = QMatrix([[1, 0], [0, 1]])
-        model = RawEvaluationModel(2, matrix)
+        model = RawEvaluationModel(2, [[1, "1/2"], [0, 3]])
         assert model.ev_vector(0) == (Fraction(1), Fraction(0))
+        assert model.ev_vector(1) == (Fraction(1, 2), Fraction(3))
 
     def test_index_out_of_range(self):
-        model = RawEvaluationModel(1, QMatrix([[1, 2]]))
+        model = RawEvaluationModel(1, [[1, 2]])
         with pytest.raises(CurveModelError):
             model.ev_vector(2)
 
     def test_genus_shape_mismatch(self):
         with pytest.raises(CurveModelError):
-            RawEvaluationModel(2, QMatrix([[1, 2]]))
+            RawEvaluationModel(2, [[1, 2]])
 
 
 def test_is_squarefree():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ghostcheck.curves import HyperellipticModel, NodalRationalModel, RawEvaluationModel
-from ghostcheck.exact import QMatrix
 from ghostcheck.factory import _hyperelliptic_star_model, random_instance
 from ghostcheck.jsonio import (
     MAX_HYPERELLIPTIC_GENUS,
@@ -124,9 +123,10 @@ class TestCurveModelJson:
         assert model_from_json(data) == model
 
     def test_raw_round_trip(self):
-        model = RawEvaluationModel(2, QMatrix([["1/2", 0], [1, 3]]))
+        model = RawEvaluationModel(2, [["1/2", 0], [1, 3]])
         data = {"type": "raw", "genus": 2, "ev_matrix": [["1/2", "0"], ["1", "3"]]}
         assert model_from_json(data) == model
+        assert model.columns == ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(3)))
 
     def test_unknown_type(self):
         with pytest.raises(InputError):
@@ -232,7 +232,7 @@ class TestLocalModelJson:
     def test_round_trip(self):
         polys = [
             LaurentPoly(XYT, {(1, 0, 0): Fraction(1), (2, 0, 1): Fraction(-3, 4)}),
-            LaurentPoly.zero(XYT),
+            LaurentPoly(XYT),
         ]
         data = {
             "m": 3,

@@ -61,13 +61,13 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_x_times_x_inverse(self):
-        x = LaurentPoly.variable(ZW, "z")
+        x = LaurentPoly.monomial(ZW, (1, 0))
         x_inv = LaurentPoly.monomial(ZW, (-1, 0))
         assert x * x_inv == LaurentPoly.constant(ZW, 1)
 
     def test_difference_of_squares(self):
-        x = LaurentPoly.variable(ZW, "z")
-        y = LaurentPoly.variable(ZW, "w")
+        x = LaurentPoly.monomial(ZW, (1, 0))
+        y = LaurentPoly.monomial(ZW, (0, 1))
         assert (x + y) * (x - y) == x * x - y * y
 
     def test_negative_exponent_product(self):
@@ -77,13 +77,13 @@ class TestArithmetic:
 
     def test_variable_mismatch(self):
         with pytest.raises(LaurentVariableMismatch):
-            LaurentPoly.variable(ZW, "z") * LaurentPoly.variable(XYT, "x")
+            LaurentPoly.monomial(ZW, (1, 0)) * LaurentPoly.monomial(XYT, (1, 0, 0))
 
     def test_scalar_multiplication(self):
         p = zw_poly({(1, 1): 3})
         assert 2 * p == zw_poly({(1, 1): 6})
         assert p * Fraction(1, 3) == zw_poly({(1, 1): 1})
-        assert 0 * p == LaurentPoly.zero(ZW)
+        assert 0 * p == LaurentPoly(ZW)
 
     @given(laurent_polys(), laurent_polys(), laurent_polys())
     @settings(max_examples=200, deadline=None)
@@ -95,7 +95,7 @@ class TestArithmetic:
         assert (a + b) + c == a + (b + c)
 
     def test_power(self):
-        z = LaurentPoly.variable(ZW, "z")
+        z = LaurentPoly.monomial(ZW, (1, 0))
         assert z**0 == LaurentPoly.constant(ZW, 1)
         assert z**3 == LaurentPoly.monomial(ZW, (3, 0))
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestArithmetic:
 
 class TestSubstitute:
     def test_single_variable(self):
-        p = LaurentPoly.variable(("x",), "x")
+        p = LaurentPoly.monomial(("x",), (1,))
         image = {"x": LaurentPoly.monomial(ZW, (1, 0))}
         assert substitute(p, image) == LaurentPoly.monomial(ZW, (1, 0))
 
@@ -152,7 +152,7 @@ class TestRestrictToAxis:
         p = zw_poly({(1, -1): 1})  # z / w
         restricted, pole = restrict_to_axis(p, "z")
         assert pole == 0
-        assert restricted.is_zero
+        assert not restricted.terms
 
     def test_leading_coefficient_at_pole(self):
         p = zw_poly({(0, -1): 1, (1, 0): 1})  # 1/w + z
@@ -167,8 +167,8 @@ class TestRestrictToAxis:
         assert restricted == LaurentPoly.constant(("w",), 3)
 
     def test_zero_polynomial(self):
-        restricted, pole = restrict_to_axis(LaurentPoly.zero(ZW), "z")
-        assert pole == 0 and restricted.is_zero
+        restricted, pole = restrict_to_axis(LaurentPoly(ZW), "z")
+        assert pole == 0 and not restricted.terms
 
     def test_variable_removed(self):
         p = zw_poly({(0, 2): 1})

@@ -115,7 +115,7 @@ class TestCharts:
 
 class TestExpandGhost:
     def test_m1_simple_pole(self):
-        expansion = expand_ghost(X, 1)
+        expansion = expand_ghost([X], 1)
         assert [lvl.constant for lvl in expansion.levels] == [(Fraction(0),)]
         (level,) = expansion.levels
         (comp,) = level.components
@@ -124,7 +124,7 @@ class TestExpandGhost:
         assert level.components[0].residue == (Fraction(1),)
 
     def test_m2_residues_at_both_levels(self):
-        expansion = expand_ghost(X, 2)
+        expansion = expand_ghost([X], 2)
         first, second = expansion.levels
         assert [c.name for c in first.components] == ["E_1", "C_tilde"]
         assert first.components[0].residue == (Fraction(1),)
@@ -135,14 +135,14 @@ class TestExpandGhost:
 
     def test_m2_no_linear_term_means_no_poles(self):
         g = mono((1, 0, 1)) + mono((2, 0, 0))  # x t + x^2
-        expansion = expand_ghost(g, 2)
+        expansion = expand_ghost([g], 2)
         for level in expansion.levels:
             assert level.components[0].residue == (Fraction(0),)
             for comp in level.components:
                 assert comp.pole_order == 0
 
     def test_zero_map(self):
-        expansion = expand_ghost(LaurentPoly.zero(XYT), 1)
+        expansion = expand_ghost([LaurentPoly(XYT)], 1)
         assert expansion.levels[0].components[0].residue == (Fraction(0),)
         assert expansion.levels[0].components[0].pole_order == 0
 
@@ -153,44 +153,44 @@ class TestExpandGhost:
 
     def test_ghost_vanishing_precondition(self):
         with pytest.raises(GhostVanishingViolated):
-            expand_ghost(Y, 2)
+            expand_ghost([Y], 2)
         with pytest.raises(GhostVanishingViolated):
-            expand_ghost(LaurentPoly.constant(XYT, 1), 2)
+            expand_ghost([LaurentPoly.constant(XYT, 1)], 2)
 
     def test_mixed_xy_rejected(self):
         with pytest.raises(LocalModelError):
-            expand_ghost(mono((1, 1, 0)), 2)
+            expand_ghost([mono((1, 1, 0))], 2)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(LocalModelError):
-            expand_ghost(mono((-1, 0, 2)), 2)
+            expand_ghost([mono((-1, 0, 2))], 2)
 
     def test_wrong_variables_rejected(self):
         with pytest.raises(LocalModelError):
-            expand_ghost(LaurentPoly.monomial(ZW, (1, 0)), 2)
+            expand_ghost([LaurentPoly.monomial(ZW, (1, 0))], 2)
 
     def test_non_constant_level_ty(self):
         with pytest.raises(NonConstantLevel) as info:
-            expand_ghost(T * Y, 3)
+            expand_ghost([T * Y], 3)
         assert info.value.level == 2
         assert info.value.component == "C_tilde"
         assert len(info.value.levels_completed) == 1
 
     def test_non_constant_level_t2y(self):
         with pytest.raises(NonConstantLevel) as info:
-            expand_ghost(T * T * Y, 3)
+            expand_ghost([T * T * Y], 3)
         assert info.value.level == 3
 
     def test_ghost_branch_tail_is_regular(self):
         # y t^m restricts to the coordinate on the ghost branch only at the
         # last level, where positive powers are allowed
         g = Y * (T**3)
-        expansion = expand_ghost(g, 3)
+        expansion = expand_ghost([g], 3)
         final = expansion.levels[-1]
         assert final.components[0].residue == (Fraction(0),)
         ghost = final.components[-1]
         assert ghost.pole_order == 0
-        assert not restriction(g, 3, 3, 3).is_zero
+        assert restriction(g, 3, 3, 3).terms
 
     def test_level_shift_consistency(self):
         rng = random.Random(61)
@@ -202,8 +202,8 @@ class TestExpandGhost:
                 c = rng.randint(0, 3 - min(a, 3))
                 terms[(a, 0, c)] = terms.get((a, 0, c), 0) + rng.randint(-9, 9)
             g = LaurentPoly(XYT, terms)
-            base = expand_ghost(g, m)
-            shifted = expand_ghost(g * T, m)
+            base = expand_ghost([g], m)
+            shifted = expand_ghost([g * T], m)
             assert [lvl.constant for lvl in shifted.levels[1:]] == [lvl.constant for lvl in base.levels[: m - 1]]
             for lvl in range(1, m):
                 base_level = base.levels[lvl - 1]
@@ -228,9 +228,9 @@ class TestExpandGhost:
 
             g1, g2 = rand_admissible(), rand_admissible()
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            sum_expansion = expand_ghost(g1 + g2, m)
-            e1, e2 = expand_ghost(g1, m), expand_ghost(g2, m)
-            scaled = expand_ghost(g1.scale(scale), m)
+            sum_expansion = expand_ghost([g1 + g2], m)
+            e1, e2 = expand_ghost([g1], m), expand_ghost([g2], m)
+            scaled = expand_ghost([g1.scale(scale)], m)
             for lvl in range(m):
                 s = sum_expansion.levels[lvl].components[0].residue
                 a = e1.levels[lvl].components[0].residue
@@ -243,13 +243,13 @@ class TestResidueTheorem:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_scaled_linear_map(self, m):
         for c in (Fraction(1), Fraction(-3), Fraction(5, 7)):
-            report = verify_residue_theorem(X.scale(c), m)
+            report = verify_residue_theorem([X.scale(c)], m)
             assert report.expected_residue == (c,)
             for level in report.expansion.levels:
                 assert level.components[0].residue == (c,)
 
     def test_zero_map_passes(self):
-        report = verify_residue_theorem(LaurentPoly.zero(XYT), 1)
+        report = verify_residue_theorem([LaurentPoly(XYT)], 1)
         assert report.expected_residue == (Fraction(0),)
 
     def test_oracle_agreement(self):
@@ -262,7 +262,7 @@ class TestResidueTheorem:
                 c = rng.randint(0, 4 - a)
                 terms[(a, 0, c)] = terms.get((a, 0, c), 0) + rng.randint(-9, 9)
             g = LaurentPoly(XYT, terms)
-            report = verify_residue_theorem(g, m)
+            report = verify_residue_theorem([g], m)
             oracle = oracle_chain_restrictions(g, m)
             for level in report.expansion.levels:
                 for j in range(level.level, m + 1):
@@ -271,7 +271,7 @@ class TestResidueTheorem:
 
     def test_expected_from_effective_branch(self):
         g = X.scale(4) + mono((2, 0, 0), 7) + mono((1, 0, 2), -5)
-        assert effective_branch_derivative(g) == (Fraction(4),)
+        assert effective_branch_derivative([g]) == (Fraction(4),)
 
     def test_feeds_obstruction_single_point(self):
         # a nonzero residue at one attachment point makes the injectivity
@@ -348,7 +348,7 @@ class TestExpansionOracle:
         assert_restrictions_match_oracle(components, m)
 
     def test_pure_t_terms_split_off_constants(self):
-        report = verify_residue_theorem(X + T.scale(3) + (T * T).scale(5), 4)
+        report = verify_residue_theorem([X + T.scale(3) + (T * T).scale(5)], 4)
         assert [lvl.constant for lvl in report.expansion.levels] == [
             (Fraction(0),), (Fraction(3),), (Fraction(5),), (Fraction(0),)
         ]
