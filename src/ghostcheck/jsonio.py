@@ -329,23 +329,27 @@ def verdict_pair_to_json(theorem: TheoremVerdict, corollary: CorollaryVerdict) -
 
 
 def expansion_to_json(expansion_levels: Sequence[ExpansionLevel]) -> list[dict]:
-    levels = []
-    for lvl in expansion_levels:
-        levels.append(
-            {
-                "l": lvl.level,
-                "a": [rat_to_str(v) for v in lvl.constant],
-                "components": [
-                    {
-                        "name": comp.name,
-                        "pole_order": comp.pole_order,
-                        "residue": [rat_to_str(v) for v in comp.residue],
-                    }
-                    for comp in lvl.components
-                ],
+    """The levels of a report. Levels share their component records, so each
+    distinct record becomes one dict, listed by every level that holds it."""
+    records: dict[int, dict] = {}
+
+    def record(comp) -> dict:
+        if id(comp) not in records:
+            records[id(comp)] = {
+                "name": comp.name,
+                "pole_order": comp.pole_order,
+                "residue": [rat_to_str(v) for v in comp.residue],
             }
-        )
-    return levels
+        return records[id(comp)]
+
+    return [
+        {
+            "l": lvl.level,
+            "a": [rat_to_str(v) for v in lvl.constant],
+            "components": [record(comp) for comp in lvl.components],
+        }
+        for lvl in expansion_levels
+    ]
 
 
 def residue_report_to_json(report: ResidueReport) -> dict:
@@ -377,5 +381,36 @@ def stopped_expansion_to_json(section: LocalModelInput, stop: NonConstantLevel) 
 
 
 def dump_json(obj: Any) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
+    for objects with string keys, written by this encoder because CPython's C
+    encoder does not indent. The text of each list, tuple or dict is kept for
+    the call under its id and depth, so a fragment the report shares (a
+    local-model component record listed at every level) is encoded once per
+    depth.
+    """
+    memo: dict[tuple[int, int], str] = {}
+    text = json.encoder.encode_basestring_ascii
+
+    def encode(o: Any, depth: int) -> str:
+        if isinstance(o, str):
+            return text(o)
+        if type(o) is int:
+            return repr(o)
+        if not isinstance(o, (list, tuple, dict)):
+            return json.dumps(o)  # None, bools, floats; TypeError for the rest
+        key = (id(o), depth)
+        if key not in memo:
+            if isinstance(o, dict):
+                items = [f"{text(k)}: {encode(v, depth + 1)}" for k, v in sorted(o.items())]
+                brackets = "{}"
+            else:
+                items = [encode(v, depth + 1) for v in o]
+                brackets = "[]"
+            inner = "\n" + "  " * (depth + 1)
+            body = f"{inner}{(',' + inner).join(items)}\n{'  ' * depth}" if items else ""
+            memo[key] = brackets[0] + body + brackets[1]
+        return memo[key]
+
+    return encode(obj, 0) + "\n"

@@ -5,6 +5,9 @@ in m monomial charts indexed j = 0..m-1:
 
     x = z^(j+1) w^j,   y = z^(m-1-j) w^(m-j),   t = z w.
 
+The expansion never builds them; ``selftest`` holds them and checks their
+algebra.
+
 The central fiber t = 0 is a reduced chain
 
     E_0 -- E_1 -- ... -- E_{m-1} -- E_m
@@ -54,16 +57,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, substitute
+from .laurent import LaurentPoly
 
 XYT = ("x", "y", "t")
-ZW = ("z", "w")
 W = ("w",)
 ZERO = Fraction(0)
-
-MAX_CHART_M = 8
 
 
 class LocalModelError(ValueError):
@@ -86,82 +86,6 @@ class NonConstantLevel(LocalModelError):
         self.level = level
         self.component = component
         self.levels_completed = tuple(levels_completed)
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Monomial parametrization of one resolution chart."""
-
-    m: int
-    index: int
-    x: LaurentPoly
-    y: LaurentPoly
-    t: LaurentPoly
-
-    def pullback(self, poly: LaurentPoly) -> LaurentPoly:
-        """Rewrite a polynomial in (x, y, t) in this chart's (z, w)."""
-        return substitute(poly, {"x": self.x, "y": self.y, "t": self.t})
-
-
-def chart(m: int, j: int) -> Chart:
-    """Chart j of the resolved surface xy = t^m, 0 <= j <= m-1."""
-    if m < 1:
-        raise LocalModelError("m must be >= 1")
-    if not 0 <= j <= m - 1:
-        raise LocalModelError(f"chart index {j} out of range for m = {m}")
-    return Chart(
-        m=m,
-        index=j,
-        x=LaurentPoly.monomial(ZW, (j + 1, j)),
-        y=LaurentPoly.monomial(ZW, (m - 1 - j, m - j)),
-        t=LaurentPoly.monomial(ZW, (1, 1)),
-    )
-
-
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ChartReport:
-    m: int
-    checks: tuple[CheckItem, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_chart_relations(m: int) -> ChartReport:
-    """Check the chart algebra of the resolved surface, identity by identity.
-
-    (i) x*y = t^m in every chart; (ii) the transitions z' = w^-1,
-    w' = z*w^2 carry chart j+1's parametrization to chart j's. Each of these
-    2m - 1 identities reads the charts' x, y and t, so a wrong chart fails
-    some of them. Failures are reported, not raised.
-    """
-    if not 1 <= m <= MAX_CHART_M:
-        raise LocalModelError(f"chart verification supports 1 <= m <= {MAX_CHART_M}")
-    checks: list[CheckItem] = []
-    charts = [chart(m, j) for j in range(m)]
-    for ch in charts:
-        lhs = ch.x * ch.y
-        rhs = ch.t**m
-        checks.append(CheckItem(f"chart {ch.index}: x*y = t^{m}", lhs == rhs))
-    for j in range(m - 1):
-        images = {
-            "z": LaurentPoly.monomial(ZW, (0, -1)),
-            "w": LaurentPoly.monomial(ZW, (1, 2)),
-        }
-        nxt = charts[j + 1]
-        ok = all(
-            substitute(getattr(nxt, name), images) == getattr(charts[j], name)
-            for name in ("x", "y", "t")
-        )
-        checks.append(CheckItem(f"transition chart {j} -> {j + 1}", ok))
-    return ChartReport(m=m, checks=tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -207,12 +131,12 @@ def _validate_input(components: Sequence[LaurentPoly]):
                 )
 
 
-def expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpansion:
+def expand_ghost(ghost_map: Iterable[LaurentPoly], m: int) -> GhostExpansion:
     """Peel the order-by-order expansion of G along the resolved chain.
 
-    ``ghost_map`` is one polynomial in (x, y, t) per target coordinate, with
-    nonnegative exponents, no mixed xy terms, and vanishing on the ghost
-    branch.
+    ``ghost_map`` is one polynomial in (x, y, t) per target coordinate, in
+    any iterable (read once), with nonnegative exponents, no mixed xy terms,
+    and vanishing on the ghost branch.
     Level l records, for every component of the sub-chain E_l ... E_m, the
     pole order and residue at its near node, and the constant split off to
     form G_l. The four rules of the module docstring give them from three
@@ -221,6 +145,7 @@ def expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpansion:
     with c < m stops the expansion. ``restriction`` gives the level
     functions themselves.
     """
+    ghost_map = tuple(ghost_map)
     if m < 1:
         raise LocalModelError("m must be >= 1")
     if not ghost_map:
@@ -288,12 +213,13 @@ class ResidueReport:
         return True
 
 
-def verify_residue_theorem(ghost_map: Sequence[LaurentPoly], m: int) -> ResidueReport:
+def verify_residue_theorem(ghost_map: Iterable[LaurentPoly], m: int) -> ResidueReport:
     """Expand G along the chain, next to the residue each level must carry.
 
     The expansion has at worst a simple pole per level, at its own node,
     with residue the x-linear coefficient of G(x, 0, 0) coordinate by
     coordinate: the four rules build it that way.
     """
+    ghost_map = tuple(ghost_map)
     expansion = expand_ghost(ghost_map, m)
     return ResidueReport(m=m, expected_residue=effective_branch_derivative(ghost_map), expansion=expansion)

@@ -8,7 +8,9 @@ counts; every theorem rank and kernel witness must equal those read off the
 obstruction matrix's kernel basis, and every kernel witness must pass the
 rank inequality.
 Details in the results never include timings, so repeated runs print
-identical bytes.
+identical bytes. The monomial charts of the resolved surface live here:
+the expansion never reads them, so a request other than ``selftest`` never
+imports them.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .factory import (
     dim_stratum,
     random_instance,
 )
-from .laurent import LaurentPoly
-from .localmodel import XYT, chart, restriction, verify_chart_relations, verify_residue_theorem
+from .laurent import LaurentPoly, substitute
+from .localmodel import XYT, LocalModelError, restriction, verify_residue_theorem
 from .obstruction import (
     AttachmentColumn,
     ObstructionProblem,
@@ -63,6 +65,89 @@ class Criterion:
     name: str
     budget_seconds: float
     func: Callable[[], tuple[bool, str]]
+
+
+# -- charts of the resolved surface -------------------------------------------
+
+
+ZW = ("z", "w")
+MAX_CHART_M = 8
+
+
+@dataclass(frozen=True)
+class Chart:
+    """Monomial parametrization of one resolution chart."""
+
+    m: int
+    index: int
+    x: LaurentPoly
+    y: LaurentPoly
+    t: LaurentPoly
+
+    def pullback(self, poly: LaurentPoly) -> LaurentPoly:
+        """Rewrite a polynomial in (x, y, t) in this chart's (z, w)."""
+        return substitute(poly, {"x": self.x, "y": self.y, "t": self.t})
+
+
+def chart(m: int, j: int) -> Chart:
+    """Chart j of the resolved surface xy = t^m, 0 <= j <= m-1."""
+    if m < 1:
+        raise LocalModelError("m must be >= 1")
+    if not 0 <= j <= m - 1:
+        raise LocalModelError(f"chart index {j} out of range for m = {m}")
+    return Chart(
+        m=m,
+        index=j,
+        x=LaurentPoly.monomial(ZW, (j + 1, j)),
+        y=LaurentPoly.monomial(ZW, (m - 1 - j, m - j)),
+        t=LaurentPoly.monomial(ZW, (1, 1)),
+    )
+
+
+@dataclass(frozen=True)
+class CheckItem:
+    name: str
+    passed: bool
+
+
+@dataclass(frozen=True)
+class ChartReport:
+    m: int
+    checks: tuple[CheckItem, ...]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def verify_chart_relations(m: int) -> ChartReport:
+    """Check the chart algebra of the resolved surface, identity by identity.
+
+    (i) x*y = t^m in every chart; (ii) the transitions z' = w^-1,
+    w' = z*w^2 carry chart j+1's parametrization to chart j's. Each of these
+    2m - 1 identities reads the charts' x, y and t, so a wrong chart fails
+    some of them. Failures are reported, not raised.
+    """
+    if not 1 <= m <= MAX_CHART_M:
+        raise LocalModelError(f"chart verification supports 1 <= m <= {MAX_CHART_M}")
+    checks: list[CheckItem] = []
+    charts = [chart(m, j) for j in range(m)]
+    for ch in charts:
+        lhs = ch.x * ch.y
+        rhs = ch.t**m
+        checks.append(CheckItem(f"chart {ch.index}: x*y = t^{m}", lhs == rhs))
+    for j in range(m - 1):
+        images = {
+            "z": LaurentPoly.monomial(ZW, (0, -1)),
+            "w": LaurentPoly.monomial(ZW, (1, 2)),
+        }
+        nxt = charts[j + 1]
+        ok = all(
+            substitute(getattr(nxt, name), images) == getattr(charts[j], name)
+            for name in ("x", "y", "t")
+        )
+        checks.append(CheckItem(f"transition chart {j} -> {j + 1}", ok))
+    return ChartReport(m=m, checks=tuple(checks))
 
 
 # -- independent oracles ------------------------------------------------------

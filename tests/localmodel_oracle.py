@@ -28,9 +28,9 @@ from ghostcheck.localmodel import (
     NonConstantLevel,
     ResidueReport,
     _validate_input,
-    chart,
     effective_branch_derivative,
 )
+from ghostcheck.selftest import chart
 
 
 class UnexpectedPole(LocalModelError):

@@ -3,10 +3,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import ghostcheck
 import ghostcheck.selftest as selftest_module
 from ghostcheck.factory import random_instance
 from ghostcheck.jsonio import dump_json, problem_to_json
@@ -661,3 +665,16 @@ class TestArguments:
             main([flag])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith(("usage: ghostcheck", "ghostcheck "))
+
+
+def test_request_path_imports_no_selftest_code():
+    # what a fresh process loads to serve requests: the chart code and the
+    # rest of the selftest stay out of it
+    code = (
+        "import sys, ghostcheck.cli, ghostcheck.factory, ghostcheck.localmodel\n"
+        "print('ghostcheck.selftest' in sys.modules, hasattr(ghostcheck.localmodel, 'chart'))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ghostcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False False\n", "")

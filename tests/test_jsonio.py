@@ -1,26 +1,34 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ghostcheck.jsonio as jsonio_module
+from ghostcheck.cli import main
 from ghostcheck.curves import HyperellipticModel, NodalRationalModel, RawEvaluationModel
+from ghostcheck.exact import rat_to_str
 from ghostcheck.factory import _hyperelliptic_star_model, random_instance
 from ghostcheck.jsonio import (
     MAX_HYPERELLIPTIC_GENUS,
     MAX_MATRIX_ENTRIES,
     InputError,
     dump_json,
+    expansion_to_json,
     local_model_from_json,
     model_from_json,
     problem_file_from_json,
     problem_from_json,
     problem_to_json,
+    residue_report_to_json,
 )
-from ghostcheck.laurent import LaurentPoly
-from ghostcheck.localmodel import XYT
-from ghostcheck.obstruction import MAX_SUBSET_POINTS, theorem_check
+from ghostcheck.laurent import LaurentPoly, normal_form_xyt
+from ghostcheck.localmodel import XYT, expand_ghost, verify_residue_theorem
+from ghostcheck.obstruction import MAX_SUBSET_POINTS, Verdict, theorem_check
 
 
 class TestProblemRoundTrip:
@@ -252,3 +260,120 @@ def test_dump_json_deterministic():
     assert dump_json(payload) == dump_json(payload)
     assert dump_json(payload).endswith("\n")
     assert dump_json(payload).index('"a"') < dump_json(payload).index('"b"')
+
+
+def reference_dump(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\xe9\U0001f600')))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), TEXT, st.sampled_from(list(Verdict))
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    )
+
+
+JSON_VALUES = st.recursive(LEAVES, containers, max_leaves=20)
+
+
+@st.composite
+def shared_fragments(draw):
+    """One container listed twice at one depth and once more at two others."""
+    shared = draw(containers(JSON_VALUES))
+    return {
+        "same_depth": [shared, draw(JSON_VALUES), shared],
+        "two_depths": [shared, {"inner": shared}],
+    }
+
+
+class TestDumpJson:
+    @given(JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, obj):
+        assert dump_json(obj) == reference_dump(obj)
+
+    @given(shared_fragments())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_fragments_equal_json_dumps(self, obj):
+        assert dump_json(obj) == reference_dump(obj)
+
+    @pytest.mark.parametrize("obj", [[], {}, (), [[], {}], {"a": ()}, "", Verdict.INCONCLUSIVE])
+    def test_empty_containers_and_str_subclasses(self, obj):
+        assert dump_json(obj) == reference_dump(obj)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, [{1, 2}]])
+    def test_refuses_what_it_cannot_write(self, obj):
+        with pytest.raises(TypeError):
+            dump_json(obj)
+
+
+def local_model_map(m, n_coords):
+    """x with a nonzero residue and t^c constants in every coordinate."""
+    return [
+        normal_form_xyt(
+            LaurentPoly(XYT, {(1, 0, 0): k + 1, **{(0, 0, c): Fraction(c, k + 2) for c in range(1, 10)}}),
+            m,
+        )
+        for k in range(n_coords)
+    ]
+
+
+class TestSharedFragments:
+    """A local-model report encodes each distinct record and fragment once."""
+
+    def test_expansion_formats_each_record_once(self, monkeypatch):
+        expansion = expand_ghost(local_model_map(32, 3), 32)
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return rat_to_str(value)
+
+        monkeypatch.setattr(jsonio_module, "rat_to_str", counted)
+        levels = expansion_to_json(expansion.levels)
+        records = {id(comp) for lvl in expansion.levels for comp in lvl.components}
+        assert len(records) == 2 * 32 - 1
+        assert len(calls) == 3 * (len(records) + len(expansion.levels))
+        assert levels == [
+            {
+                "l": lvl.level,
+                "a": [str(v) for v in lvl.constant],
+                "components": [
+                    {"name": c.name, "pole_order": c.pole_order, "residue": [str(v) for v in c.residue]}
+                    for c in lvl.components
+                ],
+            }
+            for lvl in expansion.levels
+        ]
+
+    def test_report_at_the_m_limit_equals_json_dumps(self, monkeypatch, capsys, tmp_path):
+        m = 256
+        ghost_map = local_model_map(m, 3)
+        path = tmp_path / "local.json"
+        terms = [
+            [{"exps": list(exps), "coeff": str(coeff)} for exps, coeff in g.terms.items()]
+            for g in ghost_map
+        ]
+        path.write_text(json.dumps({"local_model": {"m": m, "G": terms}}))
+        assert main(["localmodel", str(path), "--json"]) == 0
+        report = residue_report_to_json(verify_residue_theorem(ghost_map, m))
+        assert capsys.readouterr().out == reference_dump(report)
+        strings = []
+        encode = json.encoder.encode_basestring_ascii
+
+        def counted(text):
+            strings.append(text)
+            return encode(text)
+
+        monkeypatch.setattr(json.encoder, "encode_basestring_ascii", counted)
+        dump_json(report)
+        # 5 top-level keys, the verdict and the expected residue; per level 3
+        # keys and its constant; per distinct record 3 keys, its name and residue
+        assert len(strings) == 5 + 1 + 3 + m * (3 + 3) + (2 * m - 1) * (3 + 1 + 3)

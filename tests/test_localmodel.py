@@ -10,21 +10,18 @@ from hypothesis import strategies as st
 
 import ghostcheck.laurent as laurent_module
 import ghostcheck.localmodel as localmodel_module
+import ghostcheck.selftest as selftest_module
 from ghostcheck.cli import main
 from ghostcheck.jsonio import dump_json, expansion_to_json, residue_report_to_json
 from ghostcheck.laurent import LaurentPoly, normal_form_xyt
 from ghostcheck.localmodel import (
     XYT,
-    ZW,
-    Chart,
     GhostVanishingViolated,
     LocalModelError,
     NonConstantLevel,
-    chart,
     effective_branch_derivative,
     expand_ghost,
     restriction,
-    verify_chart_relations,
     verify_residue_theorem,
 )
 from ghostcheck.obstruction import (
@@ -33,7 +30,7 @@ from ghostcheck.obstruction import (
     Verdict,
     theorem_check,
 )
-from ghostcheck.selftest import oracle_chain_restrictions
+from ghostcheck.selftest import ZW, Chart, chart, oracle_chain_restrictions, verify_chart_relations
 from localmodel_oracle import oracle_expand_ghost, oracle_verify_residue_theorem
 
 
@@ -88,7 +85,7 @@ class TestCharts:
 
     @pytest.mark.parametrize("coordinate", ["x", "y", "t"])
     def test_wrong_chart_fails_identities(self, monkeypatch, coordinate):
-        original = localmodel_module.chart
+        original = selftest_module.chart
 
         def wrong_chart(m, j):
             ch = original(m, j)
@@ -98,7 +95,7 @@ class TestCharts:
             fields[coordinate] = fields[coordinate] * LaurentPoly.monomial(ZW, (1, 0))
             return Chart(m=m, index=j, **fields)
 
-        monkeypatch.setattr(localmodel_module, "chart", wrong_chart)
+        monkeypatch.setattr(selftest_module, "chart", wrong_chart)
         failed = {c.name for c in verify_chart_relations(4).checks if not c.passed}
         assert failed == {
             "chart 2: x*y = t^4",
@@ -269,6 +266,13 @@ class TestResidueTheorem:
                     got = {e[0]: c for e, c in restriction(g, m, level.level, j).terms.items()}
                     assert got == oracle.get((level.level, j), {})
 
+    def test_one_shot_iterable_gives_the_tuple_report(self):
+        coords = (X.scale(3) + T.scale(2), X + mono((0, 1, 2), 5))
+        expected = outcome(verify_residue_theorem, coords, 2)
+        assert outcome(verify_residue_theorem, (g for g in coords), 2) == expected
+        assert verify_residue_theorem(iter(coords), 2).expected_residue == (Fraction(3), Fraction(1))
+        assert expand_ghost((g for g in coords), 2) == expand_ghost(coords, 2)
+
     def test_expected_from_effective_branch(self):
         g = X.scale(4) + mono((2, 0, 0), 7) + mono((1, 0, 2), -5)
         assert effective_branch_derivative([g]) == (Fraction(4),)
@@ -408,7 +412,7 @@ class TestClosedFormPullback:
             raise AssertionError("expand_ghost must not substitute")
 
         monkeypatch.setattr(laurent_module, "substitute", forbidden)
-        monkeypatch.setattr(localmodel_module, "substitute", forbidden)
+        monkeypatch.setattr(selftest_module, "substitute", forbidden)
         monkeypatch.setattr(Chart, "pullback", forbidden)
         assert [outcome(verify_residue_theorem, *case) for case in cases] == expected
 

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import ghostcheck.localmodel as localmodel_module
 import ghostcheck.selftest as selftest_module
 from ghostcheck.laurent import LaurentPoly
-from ghostcheck.localmodel import ZW, Chart
 from ghostcheck.selftest import (
     CRITERIA,
+    ZW,
+    Chart,
     check_chart_relations,
     check_dimension_formulas,
     check_kernel_witness_subsets,
@@ -26,13 +26,13 @@ def _criterion(name):
 
 
 def test_wrong_chart_fails_chart_relations(monkeypatch):
-    original = localmodel_module.chart
+    original = selftest_module.chart
 
     def wrong_y(m, j):
         ch = original(m, j)
         return Chart(m=m, index=j, x=ch.x, y=ch.y * LaurentPoly.monomial(ZW, (0, 1)), t=ch.t)
 
-    monkeypatch.setattr(localmodel_module, "chart", wrong_y)
+    monkeypatch.setattr(selftest_module, "chart", wrong_y)
     assert check_chart_relations() == (False, "m=1: identity failed: chart 0: x*y = t^1")
     result = run_criterion(_criterion("chart-relations"))
     assert (result.name, result.passed) == ("chart-relations", False)
