@@ -39,7 +39,7 @@ from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)  # Fraction reads any Unicode digit
 
 
 def rat(value: RatLike) -> Fraction:

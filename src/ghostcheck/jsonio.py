@@ -128,6 +128,8 @@ def _attachment_from_json(model: GhostCurveModel, data: Mapping, where: str) -> 
 
 
 def _require_matrix_size(genus: int, ambient: int, n_points: int, where: str):
+    # a nonpositive factor would make any n pass the product bound
+    _require(genus >= 1 and ambient >= 1, f"{where}: genus and ambient dimension must be >= 1")
     entries = genus * ambient * n_points
     _require(
         entries <= MAX_MATRIX_ENTRIES,

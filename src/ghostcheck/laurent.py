@@ -7,12 +7,17 @@ structural. ``repr`` orders terms graded-lexicographically (total
 degree first, then the exponent vector) to keep the messages that quote a
 polynomial byte-stable.
 
+The constructor is the one place that merges terms: equal exponent vectors
+add up and a zero sum drops out. There is no arithmetic on polynomials; the
+functions below rewrite terms and hand them back to the constructor.
+
 Example
 -------
->>> x = LaurentPoly.monomial(("x", "y"), (1, 0))
->>> y = LaurentPoly.monomial(("x", "y"), (0, 1))
->>> (x + y) * (x - y) == x * x - y * y
+>>> p = LaurentPoly(("x", "y"), [((1, 0), 2), ((0, 1), 1), ((1, 0), -2)])
+>>> p == LaurentPoly.monomial(("x", "y"), (0, 1))
 True
+>>> p.coefficient((1, 0))
+Fraction(0, 1)
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .exact import RatLike, integer, rat
 
 
 class LaurentVariableMismatch(ValueError):
-    """Raised when combining polynomials over different variable lists."""
+    """Raised when substitution images do not share one variable list."""
 
 
 class MissingSubstitutionImage(ValueError):
@@ -61,85 +66,15 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], value: RatLike) -> "LaurentPoly":
-        exps = (0,) * len(tuple(variables))
-        return cls(variables, {exps: value})
-
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff: RatLike = 1) -> "LaurentPoly":
         return cls(variables, {tuple(exps): coeff})
-
-    # -- predicates and accessors ----------------------------------------
-
-    @property
-    def is_constant(self) -> bool:
-        return all(all(k == 0 for k in e) for e in self.terms)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    # -- ring operations --------------------------------------------------
-
-    def _check_same_variables(self, other: "LaurentPoly"):
-        if self.variables != other.variables:
-            raise LaurentVariableMismatch(
-                f"variable lists differ: {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_same_variables(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            q = out.get(e, Fraction(0)) + c
-            if q:
-                out[e] = q
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.variables, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return self.scale(other)
-        self._check_same_variables(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                q = out.get(e, Fraction(0)) + c1 * c2
-                if q:
-                    out[e] = q
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.variables, out)
-
-    def __rmul__(self, other) -> "LaurentPoly":
-        return self.scale(other)
-
-    def scale(self, factor: RatLike) -> "LaurentPoly":
-        f = rat(factor)
-        if not f:
-            return LaurentPoly(self.variables)
-        return LaurentPoly(self.variables, {e: c * f for e, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        out = LaurentPoly.constant(self.variables, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,25 +128,19 @@ def substitute(poly: LaurentPoly, images: Mapping[str, LaurentPoly]) -> LaurentP
     for v in poly.variables:
         if v not in parsed:
             raise MissingSubstitutionImage(f"no image for variable {v!r}")
-    out: dict[tuple[int, ...], Fraction] = {}
     width = len(target_vars)
+    terms = []
     for exps, coeff in poly.terms.items():
         new_exps = [0] * width
-        new_coeff = coeff
         for v, k in zip(poly.variables, exps):
             if k == 0:
                 continue
             img_exps, img_coeff = parsed[v]
             for i in range(width):
                 new_exps[i] += img_exps[i] * k
-            new_coeff *= img_coeff**k
-        e = tuple(new_exps)
-        q = out.get(e, Fraction(0)) + new_coeff
-        if q:
-            out[e] = q
-        else:
-            out.pop(e, None)
-    return LaurentPoly(target_vars, out)
+            coeff *= img_coeff**k
+        terms.append((new_exps, coeff))
+    return LaurentPoly(target_vars, terms)
 
 
 def restrict_to_axis(poly: LaurentPoly, var: str) -> tuple[LaurentPoly, int]:
@@ -250,16 +179,10 @@ def normal_form_xyt(poly: LaurentPoly, m: int) -> LaurentPoly:
         raise ValueError(f"expected exactly three variables (x, y, t), got {poly.variables}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    out: dict[tuple[int, ...], Fraction] = {}
+    terms = []
     for (ex, ey, et), coeff in poly.terms.items():
         if ex < 0 or ey < 0 or et < 0:
             raise ValueError(f"negative exponent in term {(ex, ey, et)}")
         k = min(ex, ey)
-        e = (ex - k, ey - k, et + k * m)
-        q = out.get(e, Fraction(0)) + coeff
-        if q:
-            out[e] = q
-        else:
-            out.pop(e, None)
-    return LaurentPoly(poly.variables, out)
-
+        terms.append(((ex - k, ey - k, et + k * m), coeff))
+    return LaurentPoly(poly.variables, terms)

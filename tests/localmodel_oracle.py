@@ -59,6 +59,12 @@ def component_names(m: int, level: int) -> list[tuple[str, int]]:
     return [(f"E_{j}", j) for j in range(level, m)] + [("C_tilde", m)]
 
 
+def shifted(g: LaurentPoly, a: Fraction) -> LaurentPoly:
+    """(g - a) / t: the constructor merges -a into g's constant term."""
+    terms = [((ex, ey, et - 1), c) for (ex, ey, et), c in g.terms.items()]
+    return LaurentPoly(XYT, terms + [((0, 0, -1), -a)])
+
+
 def oracle_expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpansion:
     if m < 1:
         raise LocalModelError("m must be >= 1")
@@ -68,11 +74,10 @@ def oracle_expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpans
     _validate_input(comps)
     n_coords = len(comps)
     charts = [chart(m, j) for j in range(m)]
-    t_inverse = LaurentPoly.monomial(XYT, (0, 0, -1))
 
     constants: list[tuple[Fraction, ...]] = [tuple(Fraction(0) for _ in comps)]
     levels: list[ExpansionLevel] = []
-    current = [g * t_inverse for g in comps]  # G_1 = G / t (a_0 = 0)
+    current = [shifted(g, 0) for g in comps]  # G_1 = G / t (a_0 = 0)
 
     for level in range(1, m + 1):
         records: list[OracleComponent] = []
@@ -117,7 +122,7 @@ def oracle_expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpans
         seeded = False
         for record in records[1:]:
             for k, restricted in enumerate(record.restriction):
-                if not restricted.is_constant:
+                if any(e != (0,) for e in restricted.terms):
                     raise NonConstantLevel(
                         level + 1,
                         record.name,
@@ -136,10 +141,7 @@ def oracle_expand_ghost(ghost_map: Sequence[LaurentPoly], m: int) -> GhostExpans
                 )
         a_level = tuple(values)
         constants.append(a_level)
-        current = [
-            (g - LaurentPoly.constant(XYT, a)) * t_inverse
-            for g, a in zip(current, a_level)
-        ]
+        current = [shifted(g, a) for g, a in zip(current, a_level)]
 
     return GhostExpansion(m=m, levels=tuple(levels))
 

@@ -177,6 +177,31 @@ class TestCheck:
             "error: problem: g*N*n = 600*600*1 = 360000 matrix entries, over the limit 8192\n",
         )
 
+    @pytest.mark.parametrize("problem", [
+        {"genus": 0, "ambient_dim": 1, "points": [{"delta": ["abc"], "deriv": ["1"]}]},
+        {"genus": -1, "ambient_dim": 2, "points": [{"delta": ["abc"], "deriv": ["1", "1"]}]},
+        {"genus": 1, "ambient_dim": 0, "points": [{"delta": ["abc"], "deriv": []}]},
+        {"curve_model": {"type": "nodal_rational", "genus": 1, "nodes": [["0", "1"]]},
+         "attachments": [{"p": "abc"}], "derivs": [[]]},
+    ], ids=["genus-0", "genus-negative", "ambient-0", "curve-model-empty-deriv"])
+    def test_nonpositive_dimension_is_refused_before_any_vector(self, capsys, tmp_path, problem):
+        # the product g*N*n would pass the matrix bound for any n
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"version": 1, **problem}))
+        assert run_cli(capsys, "check", str(path)) == (
+            EXIT_BAD_INPUT, "", "error: problem: genus and ambient dimension must be >= 1\n",
+        )
+
+    @pytest.mark.parametrize("literal", ["\u0663", "\uff11/\u0662"], ids=["arabic-indic", "fullwidth-over-arabic-indic"])
+    def test_non_ascii_digits_are_bad_input(self, capsys, tmp_path, literal):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"version": 1, "genus": 1, "ambient_dim": 1,
+                                    "points": [{"delta": [literal], "deriv": ["1"]}]}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(literal) in err
+
     @pytest.mark.parametrize("model, attachments, line", [
         (
             {"type": "hyperelliptic", "genus": 2, "f": ["0", "1", "0", "0", "0", "1"]},

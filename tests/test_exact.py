@@ -61,6 +61,12 @@ class TestRat:
         with pytest.raises(ValueError):
             rat(bad)
 
+    @pytest.mark.parametrize("digits", ["\u0663", "\uff11/\u0662"], ids=["arabic-indic", "fullwidth-over-arabic-indic"])
+    def test_rejects_non_ascii_digits(self, digits):
+        # Fraction would read these as 3 and 1/2
+        with pytest.raises(ValueError):
+            rat(digits)
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             rat(0.5)

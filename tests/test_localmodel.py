@@ -38,9 +38,12 @@ def mono(exps, coeff=1):
     return LaurentPoly.monomial(XYT, exps, coeff)
 
 
+def poly(terms):
+    return LaurentPoly(XYT, terms)
+
+
 X = mono((1, 0, 0))
 Y = mono((0, 1, 0))
-T = mono((0, 0, 1))
 
 
 class TestCharts:
@@ -69,19 +72,17 @@ class TestCharts:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_relations_all_pass(self, m):
-        report = verify_chart_relations(m)
-        assert report.all_passed
-        named = [c.name for c in report.checks]
+        checks = verify_chart_relations(m)
+        assert all(holds for _, holds in checks)
+        named = [name for name, _ in checks]
         assert len(named) == len(set(named))
 
     def test_m1_has_no_exceptional_equations(self):
-        report = verify_chart_relations(1)
-        assert len(report.checks) == 1  # just x*y = t
+        assert len(verify_chart_relations(1)) == 1  # just x*y = t
 
     def test_m5_equation_count(self):
         # one product identity per chart and m-1 transitions
-        report = verify_chart_relations(5)
-        assert len(report.checks) == 5 + 4
+        assert len(verify_chart_relations(5)) == 5 + 4
 
     @pytest.mark.parametrize("coordinate", ["x", "y", "t"])
     def test_wrong_chart_fails_identities(self, monkeypatch, coordinate):
@@ -92,11 +93,12 @@ class TestCharts:
             if j != 2:
                 return ch
             fields = {"x": ch.x, "y": ch.y, "t": ch.t}
-            fields[coordinate] = fields[coordinate] * LaurentPoly.monomial(ZW, (1, 0))
+            ((exps, coeff),) = fields[coordinate].terms.items()
+            fields[coordinate] = LaurentPoly.monomial(ZW, (exps[0] + 1, exps[1]), coeff)  # times z
             return Chart(m=m, index=j, **fields)
 
         monkeypatch.setattr(selftest_module, "chart", wrong_chart)
-        failed = {c.name for c in verify_chart_relations(4).checks if not c.passed}
+        failed = {name for name, holds in verify_chart_relations(4) if not holds}
         assert failed == {
             "chart 2: x*y = t^4",
             "transition chart 1 -> 2",
@@ -131,7 +133,7 @@ class TestExpandGhost:
         assert second.components[0].residue == (Fraction(1),)
 
     def test_m2_no_linear_term_means_no_poles(self):
-        g = mono((1, 0, 1)) + mono((2, 0, 0))  # x t + x^2
+        g = poly({(1, 0, 1): 1, (2, 0, 0): 1})  # x t + x^2
         expansion = expand_ghost([g], 2)
         for level in expansion.levels:
             assert level.components[0].residue == (Fraction(0),)
@@ -144,7 +146,7 @@ class TestExpandGhost:
         assert expansion.levels[0].components[0].pole_order == 0
 
     def test_vector_valued(self):
-        expansion = expand_ghost([X, X.scale(3)], 2)
+        expansion = expand_ghost([X, mono((1, 0, 0), 3)], 2)
         assert len(expansion.levels[0].constant) == 2
         assert expansion.levels[0].components[0].residue == (Fraction(1), Fraction(3))
 
@@ -152,7 +154,7 @@ class TestExpandGhost:
         with pytest.raises(GhostVanishingViolated):
             expand_ghost([Y], 2)
         with pytest.raises(GhostVanishingViolated):
-            expand_ghost([LaurentPoly.constant(XYT, 1)], 2)
+            expand_ghost([mono((0, 0, 0))], 2)
 
     def test_mixed_xy_rejected(self):
         with pytest.raises(LocalModelError):
@@ -168,20 +170,20 @@ class TestExpandGhost:
 
     def test_non_constant_level_ty(self):
         with pytest.raises(NonConstantLevel) as info:
-            expand_ghost([T * Y], 3)
+            expand_ghost([mono((0, 1, 1))], 3)
         assert info.value.level == 2
         assert info.value.component == "C_tilde"
         assert len(info.value.levels_completed) == 1
 
     def test_non_constant_level_t2y(self):
         with pytest.raises(NonConstantLevel) as info:
-            expand_ghost([T * T * Y], 3)
+            expand_ghost([mono((0, 1, 2))], 3)
         assert info.value.level == 3
 
     def test_ghost_branch_tail_is_regular(self):
         # y t^m restricts to the coordinate on the ghost branch only at the
         # last level, where positive powers are allowed
-        g = Y * (T**3)
+        g = mono((0, 1, 3))
         expansion = expand_ghost([g], 3)
         final = expansion.levels[-1]
         assert final.components[0].residue == (Fraction(0),)
@@ -199,15 +201,16 @@ class TestExpandGhost:
                 c = rng.randint(0, 3 - min(a, 3))
                 terms[(a, 0, c)] = terms.get((a, 0, c), 0) + rng.randint(-9, 9)
             g = LaurentPoly(XYT, terms)
+            gt = poly({(a, b, c + 1): v for (a, b, c), v in g.terms.items()})  # g * t
             base = expand_ghost([g], m)
-            shifted = expand_ghost([g * T], m)
+            shifted = expand_ghost([gt], m)
             assert [lvl.constant for lvl in shifted.levels[1:]] == [lvl.constant for lvl in base.levels[: m - 1]]
             for lvl in range(1, m):
                 base_level = base.levels[lvl - 1]
                 shift_level = shifted.levels[lvl]
                 base_by_name = {c.name: c for c in base_level.components}
                 for j, comp in enumerate(shift_level.components, start=lvl + 1):
-                    assert restriction(g * T, m, lvl + 1, j) == restriction(g, m, lvl, j)
+                    assert restriction(gt, m, lvl + 1, j) == restriction(g, m, lvl, j)
                     assert comp.residue == base_by_name[comp.name].residue
 
     def test_linearity(self):
@@ -225,9 +228,9 @@ class TestExpandGhost:
 
             g1, g2 = rand_admissible(), rand_admissible()
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            sum_expansion = expand_ghost([g1 + g2], m)
+            sum_expansion = expand_ghost([poly([*g1.terms.items(), *g2.terms.items()])], m)
             e1, e2 = expand_ghost([g1], m), expand_ghost([g2], m)
-            scaled = expand_ghost([g1.scale(scale)], m)
+            scaled = expand_ghost([poly({e: scale * c for e, c in g1.terms.items()})], m)
             for lvl in range(m):
                 s = sum_expansion.levels[lvl].components[0].residue
                 a = e1.levels[lvl].components[0].residue
@@ -240,7 +243,7 @@ class TestResidueTheorem:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_scaled_linear_map(self, m):
         for c in (Fraction(1), Fraction(-3), Fraction(5, 7)):
-            report = verify_residue_theorem([X.scale(c)], m)
+            report = verify_residue_theorem([mono((1, 0, 0), c)], m)
             assert report.expected_residue == (c,)
             for level in report.expansion.levels:
                 assert level.components[0].residue == (c,)
@@ -267,14 +270,14 @@ class TestResidueTheorem:
                     assert got == oracle.get((level.level, j), {})
 
     def test_one_shot_iterable_gives_the_tuple_report(self):
-        coords = (X.scale(3) + T.scale(2), X + mono((0, 1, 2), 5))
+        coords = (poly({(1, 0, 0): 3, (0, 0, 1): 2}), poly({(1, 0, 0): 1, (0, 1, 2): 5}))
         expected = outcome(verify_residue_theorem, coords, 2)
         assert outcome(verify_residue_theorem, (g for g in coords), 2) == expected
         assert verify_residue_theorem(iter(coords), 2).expected_residue == (Fraction(3), Fraction(1))
         assert expand_ghost((g for g in coords), 2) == expand_ghost(coords, 2)
 
     def test_expected_from_effective_branch(self):
-        g = X.scale(4) + mono((2, 0, 0), 7) + mono((1, 0, 2), -5)
+        g = poly({(1, 0, 0): 4, (2, 0, 0): 7, (1, 0, 2): -5})
         assert effective_branch_derivative([g]) == (Fraction(4),)
 
     def test_feeds_obstruction_single_point(self):
@@ -352,7 +355,7 @@ class TestExpansionOracle:
         assert_restrictions_match_oracle(components, m)
 
     def test_pure_t_terms_split_off_constants(self):
-        report = verify_residue_theorem([X + T.scale(3) + (T * T).scale(5)], 4)
+        report = verify_residue_theorem([poly({(1, 0, 0): 1, (0, 0, 1): 3, (0, 0, 2): 5})], 4)
         assert [lvl.constant for lvl in report.expansion.levels] == [
             (Fraction(0),), (Fraction(3),), (Fraction(5),), (Fraction(0),)
         ]

@@ -30,7 +30,9 @@ def test_wrong_chart_fails_chart_relations(monkeypatch):
 
     def wrong_y(m, j):
         ch = original(m, j)
-        return Chart(m=m, index=j, x=ch.x, y=ch.y * LaurentPoly.monomial(ZW, (0, 1)), t=ch.t)
+        ((exps, coeff),) = ch.y.terms.items()
+        y = LaurentPoly.monomial(ZW, (exps[0], exps[1] + 1), coeff)  # times w
+        return Chart(m=m, index=j, x=ch.x, y=y, t=ch.t)
 
     monkeypatch.setattr(selftest_module, "chart", wrong_y)
     assert check_chart_relations() == (False, "m=1: identity failed: chart 0: x*y = t^1")
