@@ -48,7 +48,8 @@ VERDICT_TEXT = {
 
 def _thread_count() -> int:
     raw = os.environ.get("GHOSTCHECK_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdecimal()) or int(digits) < 1:  # int reads any Unicode digit
         raise InputError(f"GHOSTCHECK_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
 

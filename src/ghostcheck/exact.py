@@ -18,8 +18,10 @@ the vectors orthogonal to it, which are exactly those already in the span.
 integers, ``ghostcheck.obstruction`` on the theorem's integer rows and on
 integerized columns, and ``ghostcheck.factory`` on integerized columns. The
 split certificates share one ``IntEchelon.inserted`` per distinct prefix of
-their sorted sides, the subset scan carries each later point's residual and
-clears one coordinate of it with ``IntEchelon.reduced`` on a one-row echelon,
+their sorted sides, the subset scan carries each later point's residual,
+drops one equal to plus or minus the chosen point's residual (both are
+primitive, so that is exactly when it joins the span) and clears one
+coordinate of any other with ``IntEchelon.reduced`` on a one-row echelon,
 and the matroid partition reads fundamental circuits off
 ``IntEchelon.reduced``. ``primitive`` is the one content removal, shared by
 ``integerize``, ``inserted``, the kernel vectors and the scan's residuals.
@@ -39,7 +41,7 @@ from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)  # Fraction reads any Unicode digit
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)  # int reads any Unicode digit
 
 
 def rat(value: RatLike) -> Fraction:
@@ -53,11 +55,12 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        s = value.strip()
-        if not _RAT_RE.match(s):
+        match = _RAT_RE.match(value.strip())
+        if not match:
             raise ValueError(f"not a rational literal: {value!r}")
+        num, den = match.groups()
         try:
-            return Fraction(s)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")

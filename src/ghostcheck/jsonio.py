@@ -382,6 +382,29 @@ def stopped_expansion_to_json(section: LocalModelInput, stop: NonConstantLevel) 
     }
 
 
+def _encode(o: Any, depth: int, memo: dict, text) -> str:
+    """Text of ``o`` at ``depth``; ``memo`` keeps each list's, tuple's or dict's
+    text under its id and depth, ``text`` encodes a string."""
+    if isinstance(o, str):
+        return text(o)
+    if type(o) is int:
+        return repr(o)
+    if not isinstance(o, (list, tuple, dict)):
+        return json.dumps(o)  # None, bools, floats; TypeError for the rest
+    key = (id(o), depth)
+    if key not in memo:
+        if isinstance(o, dict):
+            items = [f"{text(k)}: {_encode(v, depth + 1, memo, text)}" for k, v in sorted(o.items())]
+            brackets = "{}"
+        else:
+            items = [_encode(v, depth + 1, memo, text) for v in o]
+            brackets = "[]"
+        inner = "\n" + "  " * (depth + 1)
+        body = f"{inner}{(',' + inner).join(items)}\n{'  ' * depth}" if items else ""
+        memo[key] = brackets[0] + body + brackets[1]
+    return memo[key]
+
+
 def dump_json(obj: Any) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing newline.
 
@@ -390,29 +413,8 @@ def dump_json(obj: Any) -> str:
     encoder does not indent. The text of each list, tuple or dict is kept for
     the call under its id and depth, so a fragment the report shares (a
     local-model component record listed at every level) is encoded once per
-    depth.
+    depth. The memo is passed down rather than closed over, so it is freed
+    when the call returns instead of waiting in a reference cycle for the
+    garbage collector.
     """
-    memo: dict[tuple[int, int], str] = {}
-    text = json.encoder.encode_basestring_ascii
-
-    def encode(o: Any, depth: int) -> str:
-        if isinstance(o, str):
-            return text(o)
-        if type(o) is int:
-            return repr(o)
-        if not isinstance(o, (list, tuple, dict)):
-            return json.dumps(o)  # None, bools, floats; TypeError for the rest
-        key = (id(o), depth)
-        if key not in memo:
-            if isinstance(o, dict):
-                items = [f"{text(k)}: {encode(v, depth + 1)}" for k, v in sorted(o.items())]
-                brackets = "{}"
-            else:
-                items = [encode(v, depth + 1) for v in o]
-                brackets = "[]"
-            inner = "\n" + "  " * (depth + 1)
-            body = f"{inner}{(',' + inner).join(items)}\n{'  ' * depth}" if items else ""
-            memo[key] = brackets[0] + body + brackets[1]
-        return memo[key]
-
-    return encode(obj, 0) + "\n"
+    return _encode(obj, 0, {}, json.encoder.encode_basestring_ascii) + "\n"

@@ -28,8 +28,9 @@ with the previous set is eliminated once. The exponential (|D|, lex) subset
 scan runs only on inconclusive problems, to find the minimal witness, and
 only it is capped at 24 points. It carries each later point's residual
 against the chosen prefix's span, so a candidate's rank increments are read
-off without any elimination, and choosing a point costs one fraction-free
-step per later residual.
+off without any elimination, a child reads its own off its parent's
+residuals, and only a node that goes deeper pays one fraction-free step per
+later residual.
 
 The engine never claims smoothability: a trivial kernel is the only
 obstructed outcome, everything else is inconclusive.
@@ -187,46 +188,64 @@ def _first_witness_of_size(
     exceeds the target size cannot extend to a witness. The first completed
     subset is therefore exactly the lex-minimal witness of this size.
 
-    Each node carries, per side, every point's residual against the span of
-    the chosen columns, or None when the point lies in that span. A
-    candidate raises a side's rank exactly when its residual there is not
-    None, so the prune reads no column. Choosing a point with residual w
-    clears w's first nonzero coordinate from each later residual with one
-    fraction-free step of a one-row ``IntEchelon`` and makes the result
-    primitive; w is zero at every coordinate cleared before it, so those
-    stay zero, and a residual vanishes exactly when its point joins the
-    span.
+    Each node holds, per side, every later point's residual against the
+    span of the chosen columns, or None when the point lies in that span,
+    so a candidate raises a side's rank exactly when its residual is not
+    None and the prune reads no column. A child reads that off its
+    parent's residuals before it builds its own: with w the residual of
+    the point just chosen, a later point joins the span exactly when its
+    parent residual r is None, w or -w. Every residual is zero at the
+    coordinates cleared before it, where the chosen columns' span has no
+    nonzero vector, so r is in the span with w added only as a multiple of
+    w; both are primitive (roots come from ``integerize``, each reduction
+    is made primitive), so that multiple is 1 or -1. Residuals are lists
+    throughout, as a list never equals a tuple. A node builds its own
+    residuals once, before its first recursion, so a node that prunes
+    every candidate or fills the last slot builds none. The build drops
+    every residual equal to w or -w and clears w's pivot p from any other
+    with one fraction-free step of a one-row ``IntEchelon``, made
+    primitive; the result is nonzero, as the residual is not parallel to w.
     """
 
-    def grown(residuals: list, i: int) -> list:
-        w = residuals[i]
+    def grown(residuals: list, start: int, w: Optional[list], neg: Optional[list]) -> list:
         if w is None:
             return residuals
-        row = IntEchelon().inserted(w)
-        p = row.pivots[0]
-        later = []
-        for r in residuals[i + 1 :]:
+        p = next(k for k, x in enumerate(w) if x)
+        row = IntEchelon([w if w[p] > 0 else neg], [p])
+        out = residuals[:start]  # never read again; they keep the later indices
+        for r in residuals[start:]:
             if r is not None and r[p]:
-                r = row.reduced(r)
-                r = primitive(r) if any(r) else None
-            later.append(r)
-        return residuals[: i + 1] + later
+                r = None if r == w or r == neg else primitive(row.reduced(r))
+            out.append(r)
+        return out
 
     def recurse(start: int, chosen: tuple[int, ...], rank: int, rv: list, re: list):
+        # rv and re are the parent's residuals; the point just chosen is start - 1
+        wv, we = (rv[start - 1], re[start - 1]) if chosen else (None, None)
+        nv = None if wv is None else [-x for x in wv]
+        ne = None if we is None else [-x for x in we]
         slots = size - len(chosen)
+        own = None
         for i in range(start, n - slots + 1):
-            grown_rank = rank + (rv[i] is not None) + (re[i] is not None)
+            r, s = rv[i], re[i]
+            grown_rank = (
+                rank
+                + (r is not None and r != wv and r != nv)
+                + (s is not None and s != we and s != ne)
+            )
             if grown_rank > size:
                 continue
             if slots == 1:
                 return chosen + (i,)
-            found = recurse(i + 1, chosen + (i,), grown_rank, grown(rv, i), grown(re, i))
+            if own is None:
+                own = grown(rv, start, wv, nv), grown(re, start, we, ne)
+            found = recurse(i + 1, chosen + (i,), grown_rank, *own)
             if found is not None:
                 return found
         return None
 
     def roots(cols: Sequence[tuple[int, ...]]) -> list:
-        return [c if any(c) else None for c in cols]
+        return [list(c) if any(c) else None for c in cols]
 
     return recurse(0, (), 0, roots(vcols), roots(ecols))
 

@@ -202,6 +202,13 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(literal) in err
 
+    @pytest.mark.parametrize("threads", ["\u0663", "\uff11"], ids=["arabic-indic", "fullwidth"])
+    def test_non_ascii_thread_count_is_bad_input(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("GHOSTCHECK_THREADS", threads)
+        code, out, err = run_cli(capsys, "dims", "--N", "3", "--g", "1", "--d", "1")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == f"error: GHOSTCHECK_THREADS must be a positive integer, got {threads!r}\n"
+
     @pytest.mark.parametrize("model, attachments, line", [
         (
             {"type": "hyperelliptic", "genus": 2, "f": ["0", "1", "0", "0", "0", "1"]},

@@ -82,6 +82,22 @@ class TestRat:
         with pytest.raises(ValueError):
             rat(zero_den)
 
+    @given(
+        st.sampled_from(("", "+", "-")),
+        st.text("0", max_size=3),
+        st.integers(0, 10**40),
+        st.one_of(st.none(), st.integers(1, 10**40)),
+        st.integers(1, 12),
+        st.text(" \t\n", max_size=2),
+    )
+    def test_equals_fraction_on_valid_literals(self, sign, zeros, num, den, common, pad):
+        # signs, leading zeros and a/b with a common factor, read as Fraction reads them
+        if den is None:
+            s = f"{sign}{zeros}{num}"
+        else:
+            s = f"{sign}{zeros}{num * common}/{zeros}{den * common}"
+        assert rat(pad + s + pad) == Fraction(s)
+
     def test_round_trip(self):
         rng = random.Random(11)
         for _ in range(100):

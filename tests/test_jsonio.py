@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -377,3 +378,15 @@ class TestSharedFragments:
         # 5 top-level keys, the verdict and the expected residue; per level 3
         # keys and its constant; per distinct record 3 keys, its name and residue
         assert len(strings) == 5 + 1 + 3 + m * (3 + 3) + (2 * m - 1) * (3 + 1 + 3)
+
+    def test_report_leaves_no_garbage_cycle(self):
+        # the memo holds every encoded fragment of the report; it must be freed
+        # by reference counting when the call returns, not by the cyclic collector
+        report = residue_report_to_json(verify_residue_theorem(local_model_map(32, 3), 32))
+        gc.collect()
+        gc.disable()
+        try:
+            dump_json(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -12,7 +12,7 @@ import ghostcheck.cli as cli_module
 import ghostcheck.obstruction as obstruction_module
 from ghostcheck.cli import EXIT_INTERNAL, main
 from ghostcheck.exact import IntEchelon, QMatrix, integerize
-from ghostcheck.factory import random_instance
+from ghostcheck.factory import build_line_star_instance, random_instance
 from ghostcheck.jsonio import dump_json, problem_to_json
 from ghostcheck.obstruction import (
     AttachmentColumn,
@@ -364,7 +364,7 @@ class TestMatroidPartitionVerdict:
 
 @st.composite
 def scan_problems(draw):
-    """n <= 10 with zero, repeated and proportional columns and 30-digit entries."""
+    """n <= 10 with zero, repeated, proportional and combined columns and 30-digit entries."""
     genus, ambient = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n = draw(st.integers(3, 10))
     small = st.integers(-2, 2)
@@ -374,12 +374,18 @@ def scan_problems(draw):
 
     def column(dim, earlier):
         kinds = zeros + ["small", "small", "large"] + (["copy"] if earlier else [])
+        kinds += ["combination"] if len(earlier) > 1 else []
         kind = draw(st.sampled_from(kinds))
         if kind == "zero":
             return [0] * dim
         if kind == "copy":
             scale = draw(st.sampled_from((1, -1, 3, Fraction(-7, 10**29))))
             return [scale * v for v in draw(st.sampled_from(earlier))]
+        if kind == "combination":
+            # residuals of a sum or difference become +-equal after a step, not only as root copies
+            i, j = draw(st.lists(st.integers(0, len(earlier) - 1), min_size=2, max_size=2, unique=True))
+            sign = draw(st.sampled_from((1, -1)))
+            return [a + sign * b for a, b in zip(earlier[i], earlier[j])]
         entries = small if kind == "small" else large
         return draw(st.lists(entries, min_size=dim, max_size=dim).filter(any))
 
@@ -402,6 +408,26 @@ class TestFirstWitnessOfSize:
                 (d for d in combinations(range(n), size) if rank_inequality_holds(p, d)), None
             )
             assert obstruction_module._first_witness_of_size(size, n, vcols, ecols) == expected
+
+    def test_children_read_rank_increments_off_their_parent(self, monkeypatch):
+        # the nodal stars of the benchmark's scan workload: a node reduces the
+        # later residuals only once it goes deeper, so children that prune
+        # every candidate or fill the last slot reduce nothing
+        calls = 0
+        reduced = IntEchelon.reduced
+
+        def counted(self, vec):
+            nonlocal calls
+            calls += 1
+            return reduced(self, vec)
+
+        monkeypatch.setattr(IntEchelon, "reduced", counted)
+        for big_n, h, witness_size in ((4, 4, 6), (2, 6, 8), (3, 5, 7), (5, 4, 6)):
+            p = build_line_star_instance(big_n, h, "nodal_rational")
+            vcols = [integerize(q.deriv) for q in p.points]
+            ecols = [integerize(q.delta) for q in p.points]
+            assert obstruction_module._minimal_witness(vcols, ecols) == tuple(range(witness_size))
+        assert calls <= 9000
 
 
 class TestCheckSplits:
