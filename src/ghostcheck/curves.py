@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exact import RatLike, rat, rat_grid, rat_vector
+from .exact import RatLike, integer, integerize, primitive, rat, rat_grid, rat_vector
 
 
 class CurveModelError(ValueError):
@@ -52,43 +52,32 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _poly_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(i) * coeffs[i] for i in range(1, len(coeffs))]
-
-
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _poly_trim(list(a))
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i in range(len(b)):
-            a[shift + i] -= f * b[i]
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd_degree(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
-    u = _poly_trim(list(a))
-    v = _poly_trim(list(b))
-    while v:
-        u, v = v, _poly_mod(u, v)
-    return len(u) - 1
-
-
 def is_squarefree(coeffs: Sequence[Fraction]) -> bool:
-    """gcd(f, f') is a nonzero constant."""
-    f = _poly_trim([rat(c) for c in coeffs])
-    if len(f) - 1 < 1:
+    """gcd(f, f') is a nonzero constant.
+
+    Decided over the integers by the primitive polynomial remainder sequence
+    (Collins 1967) of f and f': each pseudo-remainder is made primitive. By
+    Gauss's lemma gcd(f, f') has positive degree over Q exactly when the
+    sequence ends in a nonconstant polynomial.
+    """
+    a = list(integerize(rat_vector(coeffs)))
+    while a and a[-1] == 0:
+        a.pop()
+    if len(a) < 2:
         return False
-    return _poly_gcd_degree(f, _poly_derivative(f)) == 0
+    b = primitive([i * c for i, c in enumerate(a)][1:])
+    while len(b) > 1:
+        lead = b[-1]
+        while len(a) >= len(b):
+            s = len(a) - len(b)
+            top = a.pop()
+            a = [lead * c for c in a[:s]] + [lead * c - top * d for c, d in zip(a[s:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, primitive(a)
+    return True
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,7 @@ class HyperellipticModel:
     f_coeffs: tuple[Fraction, ...]
 
     def __init__(self, genus: int, f_coeffs: Sequence[RatLike]):
-        coeffs = rat_vector(f_coeffs)
+        genus, coeffs = integer(genus), rat_vector(f_coeffs)
         if genus < 1:
             raise CurveModelError("ghost models need genus >= 1")
         if not coeffs or coeffs[-1] == 0:
@@ -150,6 +139,7 @@ class NodalRationalModel:
     node_pairs: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, genus: int, node_pairs: Sequence[Sequence[RatLike]]):
+        genus = integer(genus)
         if genus < 1:
             raise CurveModelError("ghost models need genus >= 1")
         pairs = tuple((rat(a), rat(b)) for a, b in node_pairs)
@@ -182,7 +172,7 @@ class RawEvaluationModel:
     columns: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, genus: int, rows: Sequence[Sequence[RatLike]]):
-        grid = rat_grid(rows)
+        genus, grid = integer(genus), rat_grid(rows)
         if genus < 1:
             raise CurveModelError("ghost models need genus >= 1")
         if len(grid) != genus:

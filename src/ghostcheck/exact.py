@@ -24,7 +24,8 @@ primitive, so that is exactly when it joins the span) and clears one
 coordinate of any other with ``IntEchelon.reduced`` on a one-row echelon,
 and the matroid partition reads fundamental circuits off
 ``IntEchelon.reduced``. ``primitive`` is the one content removal, shared by
-``integerize``, ``inserted``, the kernel vectors and the scan's residuals.
+``integerize``, ``inserted``, the kernel vectors, the scan's residuals and
+the pseudo-remainders of ``ghostcheck.curves.is_squarefree``.
 ``IntEchelon.kernel_vector`` is the one back-substitution, fraction-free as
 well. No ``Fraction`` is divided during elimination; a kernel vector returns
 to the rationals only when it is divided by its free coordinate.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import HyperellipticModel, NodalRationalModel
+from .curves import HyperellipticModel, NodalRationalModel, is_squarefree
 from .exact import IntEchelon, integer, integerize, rat_vector
 from .obstruction import MAX_SUBSET_POINTS, AttachmentColumn, ObstructionProblem
 
@@ -109,20 +109,13 @@ def _hyperelliptic_star_model(h: int) -> tuple[HyperellipticModel, list[int]]:
     """Genus-h curve y^2 = k^2 + prod_{j=1}^{2h+2} (x - j), which carries the
     rational points (j, +-k) for j = 1..2h+2. The constant k^2 is bumped
     through squares until f is squarefree."""
-    xs = list(range(1, 2 * h + 3))
-    base = [Fraction(1)]
-    for j in xs:
-        base = [
-            (base[i - 1] if i > 0 else Fraction(0)) - Fraction(j) * (base[i] if i < len(base) else Fraction(0))
-            for i in range(len(base) + 1)
-        ]
+    base = [1]
+    for j in range(1, 2 * h + 3):
+        base = [a - j * b for a, b in zip([0] + base, base + [0])]
     for k in range(1, 50):
-        coeffs = list(base)
-        coeffs[0] += Fraction(k * k)
-        try:
+        coeffs = [base[0] + k * k] + base[1:]
+        if is_squarefree(coeffs):
             return HyperellipticModel(h, coeffs), [k]
-        except ValueError:
-            continue
     raise ModelConstructionError(f"no squarefree interpolating polynomial found for h = {h}")
 
 

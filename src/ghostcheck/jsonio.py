@@ -42,9 +42,10 @@ MAX_LOCAL_TERMS = 64  # per coordinate, counted as listed in the file
 # obstructed g = N = 16 problem (n < g + N) and keeps the worst file in time.
 # Library callers are not bounded.
 MAX_MATRIX_ENTRIES = 8192
-# The squarefree test of a hyperelliptic f runs Euclid over Q in degree up to
-# 2g+2, whose cost grows steeply with g and which the matrix bound does not
-# limit (one point has g*N*n = g); this bound admits every line star.
+# The squarefree test of a hyperelliptic f, a pseudo-remainder sequence in
+# degree up to 2g+2, grows with g and with the coefficient length, and the
+# matrix bound does not limit it (one point has g*N*n = g); this bound
+# admits every line star, and coefficient length is not bounded yet.
 MAX_HYPERELLIPTIC_GENUS = 16
 
 

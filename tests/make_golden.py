@@ -44,6 +44,21 @@ HYPERELLIPTIC = {
     "attachments": [{"x": str(j), "y": "1"} for j in (1, 2, 3)],
     "derivs": [["1", "0"], ["0", "1"], ["1/2", "-3"]],
 }
+# y^2 = 1/4 + x(x-1)(x-2)(x-1/2)(x+1/3)/6: (r, +-1/2) lies on it for each of those five roots r
+HYPERELLIPTIC_FRACTIONAL = {
+    "version": 1,
+    "curve_model": {"type": "hyperelliptic", "genus": 2,
+                    "f": ["1/4", "-1/18", "1/36", "7/18", "-19/36", "1/6"]},
+    "attachments": [{"x": "0", "y": "1/2"}, {"x": "1/2", "y": "-1/2"}, {"x": "-1/3", "y": "1/2"}],
+    "derivs": [["1", "0"], ["2/3", "1"], ["0", "-1"]],
+}
+# f = (x - 1/2)^2 (x^3 + 1/3) has a double root, so the curve is singular
+NOT_SQUAREFREE = {
+    "version": 1,
+    "curve_model": {"type": "hyperelliptic", "genus": 2, "f": ["1/12", "-1/3", "1/3", "1/4", "-1", "1"]},
+    "attachments": [{"x": "1", "y": "1/2"}],
+    "derivs": [["1", "0"]],
+}
 NODAL = {
     "version": 1,
     "curve_model": {"type": "nodal_rational", "genus": 2, "nodes": [["0", "1"], ["2", "3"]]},
@@ -153,6 +168,8 @@ ONCE = {
         {"s.json": {"N": 3, "h": 4, "parts": [[1]]}},
         ["dims", "--N", "3", "--g", "4", "--d", "12", "--stratum", "{dir}/s.json"],
     ),
+    "check-hyperelliptic-fractional-f": ({"p.json": HYPERELLIPTIC_FRACTIONAL}, ["check", "{dir}/p.json"]),
+    "error-hyperelliptic-not-squarefree": ({"p.json": NOT_SQUAREFREE}, ["check", "{dir}/p.json"]),
 }
 
 

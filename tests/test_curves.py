@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostcheck.curves import (
     CurveModelError,
@@ -17,6 +19,7 @@ from ghostcheck.curves import (
 )
 from ghostcheck.exact import QMatrix
 from ghostcheck.factory import _hyperelliptic_star_model
+from squarefree_oracle import oracle_is_squarefree
 
 
 def ev_rank(model, points) -> int:
@@ -32,6 +35,11 @@ class TestHyperellipticModel:
     def test_genus_zero_rejected(self):
         with pytest.raises(CurveModelError):
             HyperellipticModel(0, [1, 1, 1])
+
+    @pytest.mark.parametrize("genus", [1.5, 1.0, True, "1"])
+    def test_non_integer_genus_rejected(self, genus):
+        with pytest.raises(TypeError):
+            HyperellipticModel(genus, [1, 0, 0, 0, 1])
 
     def test_wrong_degree_rejected(self):
         with pytest.raises(CurveModelError):
@@ -89,6 +97,11 @@ class TestNodalRationalModel:
         model = NodalRationalModel(1, [(0, 1)])
         assert ev_rank(model, [5]) == 1
 
+    @pytest.mark.parametrize("genus", [True, 1.0])
+    def test_non_integer_genus_rejected(self, genus):
+        with pytest.raises(TypeError):
+            NodalRationalModel(genus, [(0, 1)])
+
     def test_genus_node_count_mismatch(self):
         with pytest.raises(CurveModelError):
             NodalRationalModel(2, [(0, 1)])
@@ -114,12 +127,66 @@ class TestRawEvaluationModel:
         with pytest.raises(CurveModelError):
             model.ev_vector(2)
 
+    @pytest.mark.parametrize("genus", [True, 1.0])
+    def test_non_integer_genus_rejected(self, genus):
+        with pytest.raises(TypeError):
+            RawEvaluationModel(genus, [[1, 2]])
+
     def test_genus_shape_mismatch(self):
         with pytest.raises(CurveModelError):
             RawEvaluationModel(2, [[1, 2]])
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def linear_product(roots):
+    """prod (x - r) over ``roots``, coefficients ascending."""
+    out = [1]
+    for r in roots:
+        out = poly_mul(out, [-r, 1])
+    return out
+
+
+# 100-digit roots: the answers below are known by construction, not by an oracle
+R1, R2, R3 = 10**99 + 7, -(10**99) + 12345, 3 * 10**99 + 1
 
 
 def test_is_squarefree():
     assert is_squarefree([1, 2, 0, 0, 0, 1])
     assert not is_squarefree([0, 0, 1])  # x^2
     assert not is_squarefree([1, 2, 1])  # (x+1)^2
+    assert is_squarefree(["1/2", "-1", 0, 0])  # 1/2 - x, trailing zeros
+    assert not is_squarefree([])
+    assert not is_squarefree([0, 0])
+    assert not is_squarefree(["7/3"])  # degree 0
+    # (x - 1/2)^2 (x^3 + 1/3)
+    assert not is_squarefree(["1/12", "-1/3", "1/3", "1/4", -1, 1])
+    assert not is_squarefree(poly_mul(linear_product([R1, R1]), [5, 0, 1, 0, 2]))
+    assert not is_squarefree(poly_mul(linear_product([R2, R3, R3]), [Fraction(1, R1), 1]))
+    assert is_squarefree(linear_product([R1, R2, R3, 1, -1]))
+    assert is_squarefree(linear_product([Fraction(R1, R3), Fraction(R2, R3), 0, 10**100]))
+
+
+rationals = st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999))
+
+
+@st.composite
+def polynomials(draw):
+    """Squarefree-or-not polynomials: half of them carry a square factor."""
+    f = draw(st.lists(rationals, min_size=0, max_size=8))
+    if f and draw(st.booleans()):
+        s = draw(st.lists(rationals, min_size=2, max_size=3))
+        f = poly_mul(f, poly_mul(s, s))
+    return f + [Fraction(0)] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomials())
+def test_is_squarefree_matches_fraction_euclid(f):
+    assert is_squarefree(f) == oracle_is_squarefree(f)
